@@ -234,10 +234,6 @@ def reduce_mod(ring, x, k: int):
     return ring.lift(ring.residue(x, k))
 
 
-def _vt(ring, x):
-    return ring.val(x)
-
-
 def _presented(ring, f, n, rho):
     """The matrix of multiplication by theta on the basis (pi^n, rho + theta)."""
     a, b = f.a, f.b

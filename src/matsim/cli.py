@@ -63,7 +63,7 @@ def _ring(args, allow_zz=False):
         raise InputError("--ring is required for this command")
     doc = _load_json(args.ring, "--ring")
     try:
-        if doc.get("kind") == "ZZ":
+        if isinstance(doc, dict) and doc.get("kind") == "ZZ":
             if not allow_zz:
                 raise InputError("ring ZZ is only valid for lm-* commands")
             return lm.ZZ
@@ -72,15 +72,18 @@ def _ring(args, allow_zz=False):
         raise InputError(f"bad ring descriptor: {exc}") from exc
 
 
-def _parse_matrix(ring, doc, key):
+def _parse_rows(ring, doc, key):
+    """doc[key] as a list of rows of ring elements."""
     try:
-        rows = doc[key]
-        entries = [[_parse_elem(ring, x) for x in row] for row in rows]
-        return Mat2(ring, entries)
+        return [[_parse_elem(ring, x) for x in row] for row in doc[key]]
     except MatsimError:
         raise
     except Exception as exc:
-        raise InputError(f"bad matrix {key!r}: {exc}") from exc
+        raise InputError(f"bad {key!r}: {exc}") from exc
+
+
+def _parse_matrix(ring, doc, key):
+    return Mat2(ring, _parse_rows(ring, doc, key))
 
 
 def _parse_elem(ring, x):
@@ -107,10 +110,6 @@ def _emit(args, doc):
         sys.stdout.write(text)
 
 
-def _encode_mat(ring, M):
-    return M.encode()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -124,8 +123,8 @@ def cmd_classify(args):
     verified = (U @ A) == (C @ U) and U.is_unit()
     return {
         "form": form.label(),
-        "canonical_matrix": _encode_mat(ring, C),
-        "witness": _encode_mat(ring, U),
+        "canonical_matrix": C.encode(),
+        "witness": U.encode(),
         "verified": verified,
     }
 
@@ -143,7 +142,7 @@ def cmd_similar(args):
     if args.cross_check:
         N = doc.get("N", 3)
         found = conj_search_mod(ring, A, B, N, args.oracle_budget)
-        result["oracle"] = {"N": N, "witness_mod": None if found is None else _encode_mat(ring, found.U)}
+        result["oracle"] = {"N": N, "witness_mod": None if found is None else found.U.encode()}
         if found is None and result["similar"]:
             raise AssertionError("oracle contradicts an exact similarity")
     return result
@@ -158,7 +157,7 @@ def cmd_witness(args):
     if w is None:
         return {"similar": False, "witness": None, "verified": None}
     verified = w.check(A, B)
-    return {"similar": True, "witness": _encode_mat(ring, w.U), "verified": verified}
+    return {"similar": True, "witness": w.U.encode(), "verified": verified}
 
 
 def cmd_class_list(args):
@@ -172,7 +171,7 @@ def cmd_class_list(args):
     for i, fo in enumerate(forms):
         entry = {
             "form": fo.label(),
-            "matrix": _encode_mat(ring, canonical_matrix(fo)),
+            "matrix": canonical_matrix(fo).encode(),
         }
         if reps is not None:
             (g1, z), (c, o) = reps[i]
@@ -185,7 +184,7 @@ def cmd_class_number(args):
     ring = _ring(args)
     doc = _load_json(args.payload, "--in")
     f = _parse_poly(ring, doc)
-    n = class_number(ring, f, args.insep_bound or 10)
+    n = class_number(ring, f, 10 if args.insep_bound is None else args.insep_bound)
     if isinstance(n, LowerBound):
         return {"class_number_lower_bound": n.count}
     return {"class_number": n}
@@ -195,9 +194,7 @@ def cmd_lm_to_ideal(args):
     ring = _ring(args, allow_zz=True)
     doc = _load_json(args.payload, "--in")
     f = _parse_poly(ring, doc)
-    rows = doc["matrix"]
-    A = [[_parse_elem(ring, x) for x in row] for row in rows]
-    J = lm.matrix_to_ideal(f, A, ring)
+    J = lm.matrix_to_ideal(f, _parse_rows(ring, doc, "matrix"), ring)
     result = {"basis": J.encode(), "verified": True}
     if isinstance(ring, lm.IntegerRing) and f.degree == 2:
         disc = f.a * f.a + 4 * f.b
@@ -211,7 +208,7 @@ def cmd_lm_to_matrix(args):
     ring = _ring(args, allow_zz=True)
     doc = _load_json(args.payload, "--in")
     f = _parse_poly(ring, doc)
-    basis = tuple(tuple(_parse_elem(ring, c) for c in u) for u in doc["basis"])
+    basis = tuple(tuple(u) for u in _parse_rows(ring, doc, "basis"))
     J = lm.IdealBasis(f, ring, basis)
     A = lm.ideal_to_matrix(f, J)
     return {"matrix": [[ring.encode(x) for x in row] for row in A]}
@@ -228,18 +225,15 @@ def cmd_lattice_free(args):
     except Exception as exc:
         raise InputError(f"bad lattice payload: {exc}") from exc
     J = lat.lattice_from_generators(ctx, gens)
-    x0 = lat.lelem(ctx, [Fraction(str(c)) for c in doc["x0"]]) if "x0" in doc else lat.default_x0(J)
-    frak_a = lat.coefficient_ideal(J, x0)
-    frak_b = lat.intersect_base(J)
-    st = lat.ideal_mul(frak_a, frak_b)
-    gen = lat.is_principal(base, st)
-    basis = lat.is_free(J, x0)
+    x0 = lat.lelem(ctx, [Fraction(str(c)) for c in doc["x0"]]) if "x0" in doc else None
+    dec = lat.decompose(J, x0)
+    basis = lat.free_basis(J, dec)
     result = {
-        "x0": [str(c) for c in x0.coords()],
-        "intersect_base": frak_b.encode(),
-        "coefficient_ideal": frak_a.encode(),
-        "steinitz": st.encode(),
-        "steinitz_generator": None if gen is None else gen.encode(),
+        "x0": [str(c) for c in dec.x0.coords()],
+        "intersect_base": dec.frak_b.encode(),
+        "coefficient_ideal": dec.frak_a.encode(),
+        "steinitz": dec.steinitz.encode(),
+        "steinitz_generator": None if dec.generator is None else dec.generator.encode(),
         "free": basis is not None,
     }
     if basis is not None:
@@ -258,7 +252,7 @@ def cmd_cross_check(args):
     found = conj_search_mod(ring, A, B, N, args.oracle_budget)
     return {
         "N": N,
-        "witness_mod": None if found is None else _encode_mat(ring, found.U),
+        "witness_mod": None if found is None else found.U.encode(),
         "similar_mod": found is not None,
     }
 
@@ -303,7 +297,7 @@ def main(argv=None):
     except MatsimError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 3
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError, RecursionError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
     _emit(args, result)

@@ -131,15 +131,6 @@ class FpPoly:
             a, b = b, a % b
         return a.monic()
 
-    def derivative(self):
-        return FpPoly(self.p, tuple(i * c for i, c in enumerate(self.coeffs))[1:])
-
-    def shift(self, k):
-        """Multiply by t**k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return FpPoly(self.p, (0,) * k + self.coeffs)
-
     def eval_at_zero(self):
         return self.coeffs[0] if self.coeffs else 0
 

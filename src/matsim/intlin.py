@@ -8,8 +8,6 @@ reduced into [0, pivot).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fppoly import FpPoly
 
 
@@ -109,25 +107,37 @@ def solve_int(rows, target):
 
 
 # ---------------------------------------------------------------------------
-# rational-matrix helpers (exact, Fraction-based)
+# Gauss-Jordan elimination over a field
 
 
-def rat_solve(M, rhs):
-    """Solve M x = rhs exactly (square nonsingular M over Fraction)."""
+def field_solve(M, rhs=()):
+    """(det M, [x with M x = b for each column b in rhs]) for a square M.
+
+    Entries may be of any exact field type (Fraction, FpRat, ExtElem).
+    A singular M gives (0, None).
+    """
     n = len(M)
-    a = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    a = [list(M[i]) + [b[i] for b in rhs] for i in range(n)]
+    det = None
+    sign = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col]), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
+            return 0, None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        pivot = a[col][col]
+        det = pivot if det is None else det * pivot
+        inv = 1 / pivot
         a[col] = [x * inv for x in a[col]]
         for i in range(n):
             if i != col and a[i][col]:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+    if sign < 0:
+        det = -det
+    return det, [[a[i][n + k] for i in range(n)] for k in range(len(rhs))]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import NotFreeError, NotFullRank, UnsupportedRing, X0InBase
-from .intlin import hnf_int, left_kernel_int, rat_solve, solve_int
+from .intlin import field_solve, hnf_int, left_kernel_int, solve_int
+from .polys import parse_monic_quadratic
+from .rings import QQ, ExtElem, QuadAlgebra
 
 
 def _is_squarefree(n):
@@ -32,178 +35,40 @@ def _is_squarefree(n):
     return True
 
 
-class QuadBase:
-    """The order R = Z[sqrt(d)] for squarefree d < 0 with d = 2, 3 mod 4."""
+class QuadBase(QuadAlgebra):
+    """K = Q(sqrt d), w^2 = d, with the order R = Z[w] for squarefree d < 0
+    with d = 2, 3 mod 4.  Elements are ExtElem with Fraction coordinates."""
 
     def __init__(self, d: int):
         if d >= 0 or not _is_squarefree(d) or d % 4 not in (2, 3):
             raise UnsupportedRing("need squarefree d < 0 with d = 2, 3 mod 4")
+        super().__init__(QQ, 0, d)
         self.d = d
-
-    def __eq__(self, other):
-        return isinstance(other, QuadBase) and other.d == self.d
-
-    def __hash__(self):
-        return hash(("QuadBase", self.d))
+        self.omega = self.gen()
 
     def __repr__(self):
         return f"QuadBase({self.d})"
 
     def elem(self, x, y=0):
-        return QuadNum(self, Fraction(x), Fraction(y))
+        return ExtElem(self, Fraction(x), Fraction(y))
 
-    @property
-    def zero(self):
-        return self.elem(0)
-
-    @property
-    def one(self):
-        return self.elem(1)
-
-    @property
-    def omega(self):
-        return self.elem(0, 1)
-
-    def parse(self, s: str):
-        return _parse_quadnum(self, s)
-
-
-class QuadNum:
-    """Element x + y*w of K = Q(sqrt(d)), exact rational coordinates."""
-
-    __slots__ = ("base", "x", "y")
-
-    def __init__(self, base: QuadBase, x, y):
-        self.base = base
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-
-    def _pair(self, other):
-        if isinstance(other, QuadNum):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(self.base, other, 0)
-        return None
-
-    def __eq__(self, other):
-        other = self._pair(other)
-        if other is None:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.base.d, self.x, self.y))
-
-    def __bool__(self):
-        return bool(self.x) or bool(self.y)
-
-    def __add__(self, other):
-        other = self._pair(other)
-        if other is None:
-            return NotImplemented
-        return QuadNum(self.base, self.x + other.x, self.y + other.y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._pair(other)
-        if other is None:
-            return NotImplemented
-        return QuadNum(self.base, self.x - other.x, self.y - other.y)
-
-    def __rsub__(self, other):
-        return self._pair(other) - self
-
-    def __neg__(self):
-        return QuadNum(self.base, -self.x, -self.y)
-
-    def __mul__(self, other):
-        other = self._pair(other)
-        if other is None:
-            return NotImplemented
-        d = self.base.d
-        return QuadNum(
-            self.base,
-            self.x * other.x + d * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return QuadNum(self.base, self.x, -self.y)
-
-    def norm(self):
-        return self.x * self.x - self.base.d * self.y * self.y
-
-    def __truediv__(self, other):
-        other = self._pair(other)
-        n = other.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(sqrt d)")
-        c = self * other.conj()
-        return QuadNum(self.base, c.x / n, c.y / n)
-
-    def __rtruediv__(self, other):
-        return self._pair(other) / self
-
-    def is_integral(self):
-        return self.x.denominator == 1 and self.y.denominator == 1
-
-    def encode(self):
-        if not self.y:
-            return _frac_str(self.x)
-        ys = _frac_str(self.y)
+    def encode(self, e):
+        """"2+w", "-w", "1/2-3*w"."""
+        enc = QQ.encode
+        if not e.y:
+            return enc(e.x)
+        ys = enc(e.y)
         if ys == "1":
             wterm = "w"
         elif ys == "-1":
             wterm = "-w"
         else:
             wterm = f"{ys}*w"
-        if not self.x:
+        if not e.x:
             return wterm
-        sign = "+" if (self.y > 0) else "-"
+        sign = "+" if (e.y > 0) else "-"
         mag = wterm.lstrip("-")
-        return f"{_frac_str(self.x)}{sign}{mag}"
-
-    def __repr__(self):
-        return f"QuadNum({self.encode()!r})"
-
-
-def _frac_str(q: Fraction):
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _parse_quadnum(base, s):
-    s = s.strip()
-    if "w" not in s:
-        return QuadNum(base, Fraction(s.replace("(", "").replace(")", "")), 0)
-    depth = 0
-    split = None
-    for i, ch in enumerate(s):
-        depth += ch == "("
-        depth -= ch == ")"
-        if depth == 0 and ch in "+-" and i > 0 and "w" in s[i:]:
-            split = i
-    if split is None:
-        head, sign, ys = "", 1, s
-    else:
-        head = s[:split]
-        sign = 1 if s[split] == "+" else -1
-        ys = s[split + 1 :]
-    ys = ys.strip()
-    assert ys.endswith("w")
-    ys = ys[:-1].rstrip()
-    if ys.endswith("*"):
-        ys = ys[:-1]
-    ys = ys.strip().replace("(", "").replace(")", "")
-    ycoef = Fraction(1)
-    if ys in ("-",):
-        ycoef = Fraction(-1)
-    elif ys:
-        ycoef = Fraction(ys)
-    x = Fraction(head.replace("(", "").replace(")", "").strip() or 0)
-    return QuadNum(base, x, sign * ycoef)
+        return f"{enc(e.x)}{sign}{mag}"
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +156,9 @@ class FracIdealR:
             assert self.lat.member((w.y, w.x)), "not closed under multiplication by w"
 
     def elems(self):
-        return [QuadNum(self.base, v[1], v[0]) for v in self.lat.vectors()]
+        return [ExtElem(self.base, v[1], v[0]) for v in self.lat.vectors()]
 
-    def contains(self, e: QuadNum):
+    def contains(self, e: ExtElem):
         return self.lat.member((e.y, e.x))
 
     def __mul__(self, other):
@@ -301,7 +166,7 @@ class FracIdealR:
         return FracIdealR.from_elems(self.base, prods, check=False)
 
     def scaled(self, q):
-        if isinstance(q, QuadNum):
+        if isinstance(q, ExtElem):
             return FracIdealR.from_elems(self.base, [q * e for e in self.elems()], check=False)
         return FracIdealR(self.base, self.lat.scaled(Fraction(q)))
 
@@ -312,18 +177,15 @@ class FracIdealR:
         """Covolume relative to R = Z + Zw (the ideal norm for integral ideals)."""
         return self.lat.index_in()
 
-    def is_integral(self):
-        return all(e.is_integral() for e in self.elems())
-
     def encode(self):
         """Classical presentation "(n)" or "(n, r + c*w)"."""
         (c0, r0), second = self.lat.rows
         assert second[0] == 0
         n = Fraction(second[1], self.den_scalar())
-        gen2 = QuadNum(self.base, Fraction(r0, self.den_scalar()), Fraction(c0, self.den_scalar()))
-        if gen2.y and n and gen2 == self.base.elem(0, 1) * n:
-            return f"({_frac_str(n)})"
-        return f"({_frac_str(n)}, {gen2.encode()})"
+        gen2 = ExtElem(self.base, Fraction(r0, self.den_scalar()), Fraction(c0, self.den_scalar()))
+        if gen2.y and n and gen2 == self.base.omega * n:
+            return f"({QQ.encode(n)})"
+        return f"({QQ.encode(n)}, {gen2.encode()})"
 
     def den_scalar(self):
         return self.lat.den
@@ -375,61 +237,25 @@ def is_principal(base: QuadBase, ideal: FracIdealR):
 # the relative quadratic extension L = K[theta]
 
 
-@dataclass(frozen=True)
-class RelExt:
-    """Context for L = K[theta], theta^2 = a*theta + b with a, b in R."""
-
-    base: QuadBase
-    a: QuadNum
-    b: QuadNum
+class RelExt(QuadAlgebra):
+    """L = K[theta], theta^2 = a*theta + b with a, b in R; elements are
+    ExtElem over QuadBase, with rational coordinates (1, w, theta, w*theta)."""
 
     @classmethod
     def from_poly_string(cls, base, s):
-        a, b = _parse_rel_quadratic(base, s)
-        return cls(base, a, b)
+        """L from "x^2 - a*x - b" with coefficients in Z[sqrt d] ("w" for sqrt d)."""
+        return cls(base, *parse_monic_quadratic(s, base))
 
+    def __repr__(self):
+        return f"RelExt({self.base!r}, theta^2={self.mp_a.encode()}*theta+{self.mp_b.encode()})"
 
-@dataclass(frozen=True)
-class LElem:
-    """Element u + v*theta of L, with u, v in K."""
-
-    ctx: RelExt
-    u: QuadNum
-    v: QuadNum
-
-    def __add__(self, other):
-        return LElem(self.ctx, self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        return LElem(self.ctx, self.u - other.u, self.v - other.v)
-
-    def __mul__(self, other):
-        if isinstance(other, QuadNum):
-            return LElem(self.ctx, self.u * other, self.v * other)
-        a, b = self.ctx.a, self.ctx.b
-        u = self.u * other.u + b * (self.v * other.v)
-        v = self.u * other.v + self.v * other.u + a * (self.v * other.v)
-        return LElem(self.ctx, u, v)
-
-    __rmul__ = __mul__
-
-    def coords(self):
-        return (self.u.x, self.u.y, self.v.x, self.v.y)
-
-    def encode(self):
-        return [_frac_str(c) for c in self.coords()]
-
-    def __bool__(self):
-        return bool(self.u) or bool(self.v)
+    def encode(self, e):
+        return [QQ.encode(c) for c in e.coords()]
 
 
 def lelem(ctx, coords):
     c = [Fraction(x) for x in coords]
-    return LElem(ctx, QuadNum(ctx.base, c[0], c[1]), QuadNum(ctx.base, c[2], c[3]))
-
-
-def theta(ctx):
-    return LElem(ctx, ctx.base.zero, ctx.base.one)
+    return ExtElem(ctx, ctx.base.elem(c[0], c[1]), ctx.base.elem(c[2], c[3]))
 
 
 @dataclass(frozen=True)
@@ -442,7 +268,7 @@ class LLattice:
     def basis_elems(self):
         return [lelem(self.ctx, v) for v in self.lat.vectors()]
 
-    def contains(self, e: LElem):
+    def contains(self, e: ExtElem):
         return self.lat.member(e.coords())
 
     def __eq__(self, other):
@@ -456,10 +282,10 @@ def lattice_from_generators(ctx: RelExt, gens) -> LLattice:
     """HNF of the span of {g, w*g, theta*g, w*theta*g} for each generator."""
     base = ctx.base
     w = base.omega
-    th = theta(ctx)
+    th = ctx.gen()
     vecs = []
     for g in gens:
-        if not isinstance(g, LElem):
+        if not isinstance(g, ExtElem):
             g = lelem(ctx, g)
         if not g:
             continue
@@ -475,7 +301,7 @@ def lattice_from_generators(ctx: RelExt, gens) -> LLattice:
 
 def _assert_rtheta_module(J: LLattice):
     w = J.ctx.base.omega
-    th = theta(J.ctx)
+    th = J.ctx.gen()
     for e in J.basis_elems():
         assert J.contains(w * e), "lattice not closed under w"
         assert J.contains(th * e), "lattice not closed under theta"
@@ -492,50 +318,67 @@ def intersect_base(J: LLattice) -> FracIdealR:
             sum(comb[i] * J.lat.rows[i][j] for i in range(len(comb))) for j in range(4)
         ]
         assert vec[2] == 0 and vec[3] == 0
-        elems.append(QuadNum(J.ctx.base, Fraction(vec[0], den), Fraction(vec[1], den)))
+        elems.append(ExtElem(J.ctx.base, Fraction(vec[0], den), Fraction(vec[1], den)))
     return FracIdealR.from_elems(J.ctx.base, elems)
 
 
-def coefficient_ideal(J: LLattice, x0: LElem) -> FracIdealR:
+def coefficient_ideal(J: LLattice, x0: ExtElem) -> FracIdealR:
     """frak_a = {k in K : k*x0 in J + K}: the theta-part image of J over x0."""
-    if not x0.v:
+    if not x0.y:
         raise X0InBase("x0 must lie outside K")
-    coeffs = [lelem(J.ctx, v).v / x0.v for v in J.lat.vectors()]
+    coeffs = [lelem(J.ctx, v).y / x0.y for v in J.lat.vectors()]
     return FracIdealR.from_elems(J.ctx.base, coeffs)
 
 
-def default_x0(J: LLattice) -> LElem:
+def default_x0(J: LLattice) -> ExtElem:
     """theta / D where D clears the denominators of the theta-projection."""
     proj = QLattice.from_vectors([(r[2], r[3]) for r in J.lat.vectors()])
     D = proj.den
     return lelem(J.ctx, (0, 0, Fraction(1, D), 0))
 
 
-def steinitz(J: LLattice, x0: LElem | None = None) -> FracIdealR:
+def steinitz(J: LLattice, x0: ExtElem | None = None) -> FracIdealR:
     """The Steinitz ideal frak_a * (J cap K); principal iff J is free."""
+    return decompose(J, x0).steinitz
+
+
+class Decomposition(NamedTuple):
+    """J = frak_a*(x0 + u0) (+) frak_b with frak_b = J cap K, the Steinitz
+    ideal frak_a*frak_b, and its generator (None when it is not principal)."""
+
+    x0: ExtElem
+    frak_a: FracIdealR
+    frak_b: FracIdealR
+    steinitz: FracIdealR
+    generator: ExtElem | None
+
+
+def decompose(J: LLattice, x0: ExtElem | None = None) -> Decomposition:
+    """The ideals of J along x0 (default: ``default_x0``), each computed once."""
     if x0 is None:
         x0 = default_x0(J)
-    return ideal_mul(coefficient_ideal(J, x0), intersect_base(J))
+    frak_a = coefficient_ideal(J, x0)
+    frak_b = intersect_base(J)
+    st = ideal_mul(frak_a, frak_b)
+    return Decomposition(x0, frak_a, frak_b, st, is_principal(J.ctx.base, st))
 
 
-def is_free(J: LLattice, x0: LElem | None = None):
-    """Explicit free R-basis (b1, b2) with span_R{b1, b2} = J, or None.
+def is_free(J: LLattice, x0: ExtElem | None = None):
+    """Explicit free R-basis (b1, b2) with span_R{b1, b2} = J, or None."""
+    return free_basis(J, decompose(J, x0))
+
+
+def free_basis(J: LLattice, dec: Decomposition):
+    """The free basis of J from its decomposition, or None when not free.
 
     Freeness is decided by principality of the Steinitz ideal; the basis is
     assembled from the direct-sum decomposition J = frak_a*(x0+u0) (+) (J cap K)
     and a two-term Bezout expression of the Steinitz generator.
     """
-    if x0 is None:
-        x0 = default_x0(J)
-    base = J.ctx.base
-    frak_a = coefficient_ideal(J, x0)
-    frak_b = intersect_base(J)
-    st = ideal_mul(frak_a, frak_b)
-    g = is_principal(base, st)
+    x0, frak_a, frak_b, st, g = dec
     if g is None:
         return None
-    u0 = _find_u0(J, x0, frak_a)
-    v = x0 + LElem(J.ctx, u0, base.zero)
+    v = x0 + _find_u0(J, x0, frak_a, frak_b)
     a1, a2 = frak_a.elems()
     b1v, b2v = frak_b.elems()
     prods = [a1 * b1v, a1 * b2v, a2 * b1v, a2 * b2v]
@@ -547,20 +390,20 @@ def is_free(J: LLattice, x0: LElem | None = None):
     B1 = sol[0] * b1v + sol[1] * b2v
     B2 = sol[2] * b1v + sol[3] * b2v
     assert a1 * B1 + a2 * B2 == g
-    basis1 = a1 * v - LElem(J.ctx, B2, base.zero)
-    basis2 = a2 * v + LElem(J.ctx, B1, base.zero)
+    basis1 = a1 * v - B2
+    basis2 = a2 * v + B1
     span = lattice_from_generators(J.ctx, [basis1, basis2])
     assert span == J, "free basis must regenerate the lattice exactly"
     return (basis1, basis2)
 
 
-def _scaled_pair(e: QuadNum, den):
-    x = Fraction(e.y) * den, Fraction(e.x) * den
+def _scaled_pair(e: ExtElem, den):
+    x = e.y * den, e.x * den
     assert all(c.denominator == 1 for c in x)
     return [int(x[0]), int(x[1])]
 
 
-def _find_u0(J: LLattice, x0: LElem, frak_a: FracIdealR):
+def _find_u0(J: LLattice, x0: ExtElem, frak_a: FracIdealR, frak_b: FracIdealR):
     """u0 in K making the coefficient ideal of x0 + u0 equal to frak_a.
 
     For each generator k of frak_a pick j in J with theta-part k*x0; then
@@ -568,18 +411,17 @@ def _find_u0(J: LLattice, x0: LElem, frak_a: FracIdealR):
     two affine lattices in K.
     """
     base = J.ctx.base
-    frak_b = intersect_base(J)
     dens = J.lat.den
     conds = []
     for k in frak_a.elems():
-        target = k * x0.v  # required theta-part
+        target = k * x0.y  # required theta-part
         rows = [[r[2], r[3]] for r in J.lat.rows]
         tvec = [target.x * dens, target.y * dens]
         assert all(t.denominator == 1 for t in tvec)
         comb = solve_int(rows, [int(t) for t in tvec])
         assert comb is not None, "frak_a generators are attained on J"
         j = [sum(comb[i] * J.lat.rows[i][c] for i in range(4)) for c in range(4)]
-        proj = QuadNum(base, Fraction(j[0], dens), Fraction(j[1], dens))
+        proj = ExtElem(base, Fraction(j[0], dens), Fraction(j[1], dens))
         w_i = proj / k
         lam = [e / k for e in frak_b.elems()]
         conds.append((w_i, lam))
@@ -589,7 +431,7 @@ def _find_u0(J: LLattice, x0: LElem, frak_a: FracIdealR):
     den = 1
     for r in rows + [[diff.x, diff.y]]:
         for c in r:
-            den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
     irows = [[int(c * den) for c in r] for r in rows]
     itarget = [int(diff.x * den), int(diff.y * den)]
     sol = solve_int(irows, itarget)
@@ -597,82 +439,29 @@ def _find_u0(J: LLattice, x0: LElem, frak_a: FracIdealR):
     u0 = w1 + sol[0] * lam1[0] + sol[1] * lam1[1]
     # verify: k*(x0 + u0) lies in J for both generators
     for k in frak_a.elems():
-        cand = k * x0 + LElem(J.ctx, k * u0, base.zero)
-        assert J.contains(cand)
+        assert J.contains(k * x0 + k * u0)
     return u0
 
 
 def mult_matrix(J: LLattice, basis):
     """Multiplication-by-theta matrix on a free basis, row convention."""
     b1, b2 = basis
-    th = theta(J.ctx)
-    cols = []
-    for bj in (b1, b2):
-        target = th * bj
-        # solve target = x*b1 + y*b2 with x, y in K: 4 rational unknowns
-        M = []
-        for c in range(4):
-            M.append(
-                [
-                    b1.coords()[c],
-                    (J.ctx.base.omega * b1).coords()[c],
-                    b2.coords()[c],
-                    (J.ctx.base.omega * b2).coords()[c],
-                ]
-            )
-        sol = rat_solve(M, list(target.coords()))
-        x = QuadNum(J.ctx.base, sol[0], sol[1])
-        y = QuadNum(J.ctx.base, sol[2], sol[3])
-        if not (x.is_integral() and y.is_integral()):
-            raise NotFreeError("matrix entries leave R; basis is not an R-basis")
-        cols.append((x, y))
+    ctx = J.ctx
+    th = ctx.gen()
+    # theta*bj = x*b1 + y*b2 with x, y in K: a 2x2 system over K per column
+    targets = [(t.x, t.y) for t in (th * b1, th * b2)]
+    det, cols = field_solve([[b1.x, b2.x], [b1.y, b2.y]], targets)
+    if not det:
+        raise ZeroDivisionError("singular matrix")
+    if any(c.denominator != 1 for col in cols for e in col for c in e.coords()):
+        raise NotFreeError("matrix entries leave R; basis is not an R-basis")
     A = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
     # defining identity theta*(b1, b2) = (b1, b2)*A, entrywise exact
-    for j, bj in enumerate((b1, b2)):
+    for j, bj in enumerate(basis):
         rhs = A[0][j] * b1 + A[1][j] * b2
         assert th * bj == rhs
     # char poly check: trace = a, det = -b
     tr = A[0][0] + A[1][1]
     det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    assert tr == J.ctx.a and det + J.ctx.b == J.ctx.base.zero
+    assert tr == ctx.mp_a and det + ctx.mp_b == ctx.base.zero
     return A
-
-
-def _parse_rel_quadratic(base, s):
-    """Parse "x^2 - a*x - b" with coefficients in Z[sqrt d] ("w" for sqrt d)."""
-    from .polys import _split_terms
-
-    coeffs = {0: base.zero, 1: base.zero, 2: base.zero}
-    for sign, term in _split_terms(s):
-        if "x" in term:
-            head, _, tail = term.partition("x")
-            head = head.strip()
-            if head.endswith("*"):
-                head = head[:-1].strip()
-            coef = base.one if not head else base.parse(head)
-            k = int(tail[1:]) if tail.strip().startswith("^") else 1
-        else:
-            coef = base.parse(term)
-            k = 0
-        coeffs[k] = coeffs[k] + (coef if sign > 0 else -coef)
-    if coeffs[2] != base.one:
-        raise ValueError("expected a monic quadratic in x")
-    return -coeffs[1], -coeffs[0]
-
-
-def qmat_mul(base, X, Y):
-    """2x2 product over Q(sqrt d) for witness checks at the Dedekind level."""
-    return [
-        [
-            X[0][0] * Y[0][0] + X[0][1] * Y[1][0],
-            X[0][0] * Y[0][1] + X[0][1] * Y[1][1],
-        ],
-        [
-            X[1][0] * Y[0][0] + X[1][1] * Y[1][0],
-            X[1][0] * Y[0][1] + X[1][1] * Y[1][1],
-        ],
-    ]
-
-
-def qmat_det(X):
-    return X[0][0] * X[1][1] - X[0][1] * X[1][0]

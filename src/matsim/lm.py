@@ -30,21 +30,17 @@ from .errors import (
     NotSeparable,
     UnsupportedRing,
 )
+from .intlin import field_solve
 from .polys import MonicPoly, is_separable
-from .rings import FpTLoc, QuadExt, ZLoc
+from .rings import QQ, ExtElem, FpTLoc, QuadAlgebra, QuadExt, Rationals, ZLoc
 
 _KRYLOV_SEED = 20240817
 
 
-class IntegerRing:
+class IntegerRing(Rationals):
     """Z as the base ring of the correspondence; K = Q via Fraction."""
 
     kind = "ZZ"
-    char = 0
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -55,29 +51,8 @@ class IntegerRing:
     def __repr__(self):
         return "ZZ"
 
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into ZZ")
-
-    def from_int(self, n):
-        return Fraction(n)
-
     def is_integral(self, x):
         return self.coerce(x).denominator == 1
-
-    def encode(self, x):
-        x = self.coerce(x)
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-    def parse(self, s):
-        return Fraction(s.strip().replace("(", "").replace(")", ""))
-
-    def sort_key(self, x):
-        x = self.coerce(x)
-        return (x.numerator, x.denominator)
 
     def to_json(self):
         return {"kind": "ZZ"}
@@ -88,12 +63,6 @@ ZZ = IntegerRing()
 
 def _is_dvr(ring):
     return isinstance(ring, (ZLoc, FpTLoc, QuadExt))
-
-
-def _is_integral(ring, x):
-    if _is_dvr(ring):
-        return ring.val(x) >= 0
-    return ring.is_integral(x)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +105,6 @@ class IdealBasis:
         n = self.f.degree
         if len(self.basis) != n or any(len(u) != n for u in self.basis):
             raise ValueError("basis arity must match deg f")
-
-    @property
-    def denominator(self):
-        """Scalar clearing the coordinate denominators (display only)."""
-        den = 1
-        for u in self.basis:
-            for c in u:
-                if isinstance(c, Fraction):
-                    den = den * c.denominator // gcd(den, c.denominator)
-        return den
 
     def encode(self):
         enc = self.ring.encode
@@ -205,38 +164,9 @@ def _ppmul(ring, a, b):
     return tuple(out)
 
 
-def _mat_mul(ring, A, B):
-    n = len(A)
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(n)), ring.zero) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _row_times_mat(ring, row, A):
     n = len(A)
     return [sum((row[k] * A[k][j] for k in range(n)), ring.zero) for j in range(n)]
-
-
-def _det(ring, M):
-    n = len(M)
-    m = [list(r) for r in M]
-    det = ring.one
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return ring.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = ring.one / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                fct = m[i][col]
-                m[i] = [x - fct * y for x, y in zip(m[i], m[col])]
-    return det
 
 
 def _clear_scalar(ring, vecs):
@@ -306,7 +236,7 @@ def _krylov_conjugator(ring, f, A):
             for i in range(n - 1, 0, -1):
                 nxt = _row_times_mat(ring, g[i], A)
                 g[i - 1] = [nxt[j] + f.coeffs[i] * w[j] for j in range(n)]
-            d = _det(ring, g)
+            d, _ = field_solve(g)
             if not d:
                 continue
             score = _det_size(ring, d)
@@ -342,41 +272,19 @@ def ideal_to_matrix(f: MonicPoly, J: IdealBasis):
     """The multiplication-by-theta matrix on the given basis (row convention)."""
     ring = J.ring
     n = f.degree
-    M = [list(u) for u in J.basis]  # rows = coordinates of basis elements
-    if not _det(ring, M):
+    # column j of A solves (basis coordinates)^T * A[.][j] = theta * u_j
+    Mt = [[u[i] for u in J.basis] for i in range(n)]
+    det, cols = field_solve(Mt, [_theta_times(ring, f, u) for u in J.basis])
+    if not det:
         raise NotAnIdeal("basis is not K-linearly independent")
-    A = [[None] * n for _ in range(n)]
-    Mt = [[M[i][j] for i in range(n)] for j in range(n)]  # transpose for solving
-    for j in range(n):
-        target = _theta_times(ring, f, J.basis[j])
-        col = _field_solve(ring, Mt, list(target))
-        for k in range(n):
-            A[k][j] = col[k]
+    A = [[cols[j][k] for j in range(n)] for k in range(n)]
     for row in A:
         for x in row:
-            if not _is_integral(ring, x):
+            if not ring.is_integral(x):
                 raise NotAnIdeal("multiplication by theta leaves the R-span")
     if char_poly_n(ring, A) != f:
         raise NotAnIdeal("char poly of the produced matrix differs from f")
     return A
-
-
-def _field_solve(ring, M, rhs):
-    """Gaussian solve over an arbitrary fraction field."""
-    n = len(M)
-    a = [[M[i][j] for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = ring.one / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                fct = a[i][col]
-                a[i] = [x - fct * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def is_non_zero_divisor(f: MonicPoly, alpha, ring=None) -> bool:
@@ -438,22 +346,6 @@ def reduce_form(F: BQForm) -> BQForm:
     return BQForm(a, b, c)
 
 
-def _norm2(ring, f, u):
-    """Norm of c0 + c1*theta for quadratic f = x^2 - a*x - b."""
-    a, b = f.a, f.b
-    c0, c1 = u
-    return c0 * c0 + a * c0 * c1 - b * c1 * c1
-
-
-def _trace_pair(ring, f, u, v):
-    """Trace form u*conj(v) + conj(u)*v for quadratic f."""
-    a, b = f.a, f.b
-    u0, u1 = u
-    v0, v1 = v
-    # conj(theta) = a - theta; expand (u0 + u1 th)(v0 + v1(a - th)) + sym.
-    return 2 * u0 * v0 + a * (u0 * v1 + u1 * v0) - 2 * b * u1 * v1
-
-
 def ideal_norm(J: IdealBasis):
     """|det| of the coordinate matrix: the (generalized) index [Z[theta] : J]."""
     (u0, u1), (v0, v1) = J.basis
@@ -472,10 +364,12 @@ def ideal_to_form(J: IdealBasis) -> BQForm:
         raise NotImaginaryQuadratic(f"disc {disc} is not negative")
     ideal_to_matrix(f, J)  # validates rank and the ideal property
     nj = ideal_norm(J)
-    u, v = J.basis
-    fa = _norm2(ring, f, u) / nj
-    fb = _trace_pair(ring, f, u, v) / nj
-    fc = _norm2(ring, f, v) / nj
+    # norms in Q[theta]; the middle coefficient is the polarization N(u+v) - N(u) - N(v)
+    alg = QuadAlgebra(QQ, f.a, f.b)
+    u, v = (ExtElem(alg, *c) for c in J.basis)
+    fa = u.norm() / nj
+    fc = v.norm() / nj
+    fb = (u + v).norm() / nj - fa - fc
     for x in (fa, fb, fc):
         if x.denominator != 1:
             raise NotAnIdeal("norm form is not integral: not an ideal basis")

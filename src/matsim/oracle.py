@@ -271,16 +271,12 @@ def _solve_ext(ring, A, B, N, budget):
         shift = lambda k: FpPoly.t_power(p, k)
         lift = lambda x, h: base.residue(x, h) if h > 0 else FpPoly.const(p, 0)
         val = _val_poly
-    a_mp = ring.mp_a
-    b_mp = ring.mp_b
+    w = ring.gen()
 
     def mult_block(c):
-        # base 2x2 matrix of multiplication by c = cx + cy*w on (x, y) coords
-        cx, cy = c.x, c.y
-        return [
-            [lift(cx, H), lift(b_mp * cy, H)],
-            [lift(cy, H), lift(cx + a_mp * cy, H)],
-        ]
+        # base 2x2 matrix of multiplication by c on (x, y) coords: columns c, c*w
+        cw = c * w
+        return [[lift(c.x, H), lift(cw.x, H)], [lift(c.y, H), lift(cw.y, H)]]
 
     # unknown layout: for each matrix slot (r, c): two coords (x, y)
     rows = []

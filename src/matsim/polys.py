@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import CharTwo, NotIntegral, UnsupportedRing
 from .fppoly import FpPoly, FpRat
-from .rings import ExtElem, FpTLoc, QuadExt, ZLoc
+from .rings import ExtElem, FpTLoc, QuadExt, ZLoc, _collect, _terms
 
 
 class MonicPoly:
@@ -167,10 +167,6 @@ def poly_gcd(a, b, ring):
         lead = a[-1]
         a = [c / lead for c in a]
     return a
-
-
-def derivative(f: MonicPoly):
-    return f.derivative()
 
 
 def is_separable(f: MonicPoly, ring) -> bool:
@@ -458,22 +454,8 @@ def _order_roots(ring, r1, r2):
 
 def parse_monic(s: str, ring) -> MonicPoly:
     """Parse strings like "x^2 - 5", "x^2 - t*x - (t^2+t^3)", "x^3 - 1"."""
-    coeffs = {}
-    for sign, term in _split_terms(s):
-        if "x" in term:
-            head, _, tail = term.partition("x")
-            head = head.strip()
-            if head.endswith("*"):
-                head = head[:-1].strip()
-            coef = ring.one if not head else ring.parse(head)
-            k = int(tail[1:]) if tail.strip().startswith("^") else 1
-        else:
-            coef = ring.parse(term)
-            k = 0
-        cur = coeffs.get(k, ring.zero)
-        coeffs[k] = cur + coef if sign > 0 else cur - coef
-    deg = max(coeffs)
-    return MonicPoly(ring, [coeffs.get(i, ring.zero) for i in range(deg + 1)])
+    coeffs = _collect(_terms(s, "x"), ring.parse, ring.zero, ring.one)
+    return MonicPoly(ring, [coeffs.get(i, ring.zero) for i in range(max(coeffs) + 1)])
 
 
 def parse_monic_quadratic(s: str, ring):
@@ -482,43 +464,3 @@ def parse_monic_quadratic(s: str, ring):
     if f.degree != 2:
         raise ValueError(f"expected a quadratic, got degree {f.degree}")
     return f.a, f.b
-
-
-def _split_terms(s: str):
-    s = s.strip()
-    terms = []
-    depth = 0
-    sign = 1
-    cur = ""
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            terms.append((sign, cur.strip()))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch in "+-" and not cur.strip():
-            if ch == "-":
-                sign = -sign
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append((sign, cur.strip()))
-    out = []
-    for sg, t in terms:
-        if t.startswith("(") and t.endswith(")") and _balanced(t[1:-1]):
-            t = t[1:-1].strip()
-        out.append((sg, t))
-    return out
-
-
-def _balanced(s):
-    depth = 0
-    for ch in s:
-        depth += ch == "("
-        depth -= ch == ")"
-        if depth < 0:
-            return False
-    return depth == 0

@@ -7,6 +7,11 @@ Instances:
 * ``QuadExt(...)``  -- a quadratic extension of either, unramified or
   Eisenstein, with elements ``ExtElem`` storing (x, y) for x + y*w.
 
+``ExtElem`` is the one element type of every quadratic algebra base[w],
+w^2 = a*w + b, in the package: its parent (a ``QuadAlgebra``) is a
+``QuadExt`` here, or Q(sqrt d) and L = K[theta] in ``lattices``.  The one
+string reader (signed terms ``c*var^k``) also lives here.
+
 Every element representation is canonical (fully reduced fractions,
 monic denominators), so structural equality is ring equality.  All
 values are immutable; operations are pure functions.
@@ -22,6 +27,7 @@ v(x + y*w) = min(2*v(x), 2*v(y) + 1).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import NotIntegral, UnsupportedRing
@@ -43,27 +49,13 @@ def _is_prime(n):
     return True
 
 
-class ZLoc:
-    """Z localized at the prime p.  K = Q, elements are Fractions."""
+class Rationals:
+    """Q with ``Fraction`` elements: the fraction field of ZLoc and ZZ, and
+    the coordinate field of Q(sqrt d)."""
 
-    kind = "ZLoc"
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not a (small) prime")
-        self.p = p
-        self.char = 0
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def __eq__(self, other):
-        return isinstance(other, ZLoc) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("ZLoc", self.p))
-
-    def __repr__(self):
-        return f"ZLoc({self.p})"
+    char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -74,6 +66,45 @@ class ZLoc:
 
     def from_int(self, n):
         return Fraction(n)
+
+    def sort_key(self, x):
+        x = self.coerce(x)
+        return (x.numerator, x.denominator)
+
+    def encode(self, x):
+        x = self.coerce(x)
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+
+    def parse(self, s):
+        return _parse_rational(s)
+
+    def __repr__(self):
+        return "QQ"
+
+
+QQ = Rationals()
+
+
+class ZLoc(Rationals):
+    """Z localized at the prime p.  K = Q, elements are Fractions."""
+
+    kind = "ZLoc"
+
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not a (small) prime")
+        self.p = p
+
+    def __eq__(self, other):
+        return isinstance(other, ZLoc) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("ZLoc", self.p))
+
+    def __repr__(self):
+        return f"ZLoc({self.p})"
 
     def val(self, x):
         x = self.coerce(x)
@@ -116,18 +147,8 @@ class ZLoc:
         for r in range(self.p**N):
             yield Fraction(r)
 
-    def sort_key(self, x):
-        x = self.coerce(x)
-        return (x.numerator, x.denominator)
-
-    def encode(self, x):
-        x = self.coerce(x)
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-
     def parse(self, s):
-        return Fraction(s.strip().replace("(", "").replace(")", ""))
+        return _parse_rational(s)
 
     def to_json(self):
         return {"kind": "ZLoc", "p": self.p}
@@ -217,7 +238,12 @@ class FpTLoc:
         return self.coerce(x).to_string()
 
     def parse(self, s):
-        return _parse_fprat(s, self.p)
+        """N or N/D with N, D sums of terms c*t^k: a top-level / binds loosest."""
+        s = _unwrap(s)
+        i = _top_slash(s)
+        if i < 0:
+            return FpRat(_fppoly(s, self.p))
+        return FpRat(_fppoly(s[:i], self.p), _fppoly(s[i + 1 :], self.p))
 
     def to_json(self):
         return {"kind": "FpTLoc", "p": self.p}
@@ -238,80 +264,182 @@ def _poly_inverse_mod_t_power(den, N):
     return FpPoly(p, inv)
 
 
-def _parse_fppoly(s, p):
-    s = s.strip()
-    if s.startswith("(") and s.endswith(")"):
-        depth = 0
-        ok = True
-        for i, ch in enumerate(s):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and i < len(s) - 1:
-                ok = False
-                break
-        if ok:
-            s = s[1:-1]
-    coeffs = {}
-    term = ""
-    sign = 1
-    terms = []
-    for ch in s.replace(" ", ""):
-        if ch in "+-" and term:
-            terms.append((sign, term))
-            sign = 1 if ch == "+" else -1
-            term = ""
-        elif ch == "-" and not term:
-            sign = -sign
-        elif ch == "+" and not term:
-            pass
-        else:
-            term += ch
-    if term:
-        terms.append((sign, term))
-    for sg, t in terms:
-        t = t.replace("*", "")
-        if "t" in t:
-            head, _, tail = t.partition("t")
-            c = int(head) if head else 1
-            k = int(tail[1:]) if tail.startswith("^") else (int(tail) if tail else 1)
-        else:
-            c = int(t)
-            k = 0
-        coeffs[k] = coeffs.get(k, 0) + sg * c
-    deg = max(coeffs) if coeffs else 0
-    return FpPoly(p, [coeffs.get(i, 0) for i in range(deg + 1)])
+# ---------------------------------------------------------------------------
+# the string reader shared by every parser: signed terms c*var^k (the grammar
+# is in README.md, "Input grammar").  The coefficient c is handed to the
+# caller as a string: a Fraction literal, a GF(p) integer, or an element of
+# the base ring in its own syntax.
 
 
-def _strip_outer_parens(s):
+_PARENS = re.compile(r"[()]")
+_OPERATOR = re.compile(r"[-+()]")
+
+
+def _unwrap(s):
+    """s without surrounding whitespace and parentheses around all of it."""
+    if not isinstance(s, str):
+        raise TypeError(f"expected a string, got {s!r}")
     s = s.strip()
-    while s.startswith("(") and s.endswith(")"):
+    while s[:1] == "(" and s[-1:] == ")":
         depth = 0
-        ok = True
-        for i, ch in enumerate(s):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and i < len(s) - 1:
-                ok = False
+        for m in _PARENS.finditer(s):
+            depth += 1 if m[0] == "(" else -1
+            if depth == 0:
                 break
-        if not ok:
+        if m.end() != len(s):
             break
         s = s[1:-1].strip()
     return s
 
 
-def _parse_fprat(s, p):
-    s = _strip_outer_parens(s)
+def _top_slash(s):
+    """Index of the first '/' outside parentheses in s, or -1."""
     depth = 0
-    for i, ch in enumerate(s):
-        depth += ch == "("
-        depth -= ch == ")"
+    for m in re.finditer(r"[()/]", s):
+        ch = m[0]
         if ch == "/" and depth == 0:
-            return FpRat(_parse_fppoly(s[:i], p), _parse_fppoly(s[i + 1 :], p))
-    return FpRat(_parse_fppoly(s, p))
+            return m.start()
+        depth += (ch == "(") - (ch == ")")
+    return -1
+
+
+def _signed_terms(s):
+    """[(sign, term)] for the top-level terms of s."""
+    terms = []
+    signs = ""
+    start = depth = 0
+    for m in _OPERATOR.finditer(s):
+        ch = m[0]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced parentheses in {s!r}")
+        elif depth == 0:
+            term = s[start : m.start()].strip()
+            if term:
+                terms.append((signs, term))
+                signs = ""
+            signs += ch
+            start = m.end()
+    term = s[start:].strip()
+    if depth or not term:
+        raise ValueError(f"unbalanced parentheses or a missing term in {s!r}")
+    terms.append((signs, term))
+    out = []
+    for signs, term in terms:
+        # a sign after '-' is rejected: older parsers read "a - -b" two ways
+        if len(signs) > 2 or signs[:-1] == "-":
+            raise ValueError(f"signs {signs!r} in {s!r}: write a - b or a + -b")
+        out.append((-1 if "-" in signs else 1, term))
+    return out
+
+
+def _power(term, var):
+    """(c, k) when term is c*var^k, c*var, var^k or var (c '' for 1), else None."""
+    if var not in term:
+        return None
+    body, k = term, 1
+    head, caret, exp = term.rpartition("^")
+    if caret and exp.strip().isdecimal():
+        body, k = head.rstrip(), int(exp)
+    if not body.endswith(var):
+        return None
+    c = body[: -len(var)].rstrip()
+    return (c[:-1].rstrip() if c.endswith("*") else c), k
+
+
+def _terms(s, var):
+    """[(sign, c, k)] for the signed terms c*var^k of s; c is '' for c = 1.
+
+    With ``var`` None every term is a constant (k = 0).
+    """
+    out = []
+    for sign, term in _signed_terms(s):
+        inner = _unwrap(term) if var and term[0] == "(" and var in term else term
+        if inner != term:
+            (sg, term), *rest = _signed_terms(inner)
+            if rest:
+                raise ValueError(f"{inner!r}: a sum in parentheses must not contain {var}")
+            sign *= sg
+        ck = var and _power(term, var)
+        out.append((sign, *ck) if ck else (sign, term, 0))
+    return out
+
+
+def _collect(terms, coef, zero, one):
+    """{k: sum of sign*coef(c)} over the terms; an empty c counts as ``one``."""
+    coeffs = {}
+    for sign, c, k in terms:
+        v = coef(c) if c else one
+        coeffs[k] = coeffs.get(k, zero) + v if sign > 0 else coeffs.get(k, zero) - v
+    return coeffs
+
+
+def _parse_rational(s):
+    """A ``Fraction`` literal, or a signed sum of them, in parentheses or not."""
+    s = _unwrap(s)
+    try:
+        return Fraction(s)
+    except ValueError:
+        terms = _terms(s, None)
+        if len(terms) == 1 and terms[0][1] == s:
+            raise
+    return _collect(terms, _parse_rational, Fraction(0), None)[0]
+
+
+def _fppoly(s, p):
+    coeffs = _collect(_terms(_unwrap(s), "t"), lambda c: int(_unwrap(c)), 0, 1)
+    return FpPoly(p, [coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+
+
+# ---------------------------------------------------------------------------
+# quadratic algebras base[w], w^2 = mp_a*w + mp_b, and their elements
+
+
+def _elem(ring, x, y):
+    """ExtElem with coordinates already in ring.base (no coercion)."""
+    e = object.__new__(ExtElem)
+    e.ring = ring
+    e.x = x
+    e.y = y
+    return e
+
+
+def _scalar(ring, other):
+    """other as an element of ring.base, or None."""
+    try:
+        return ring.base.coerce(other)
+    except TypeError:
+        return None
+
+
+def _coords_in(ring, other):
+    """(x, y) of other as an element of ring, or None."""
+    if type(other) is ExtElem and (other.ring is ring or other.ring == ring):
+        return other.x, other.y
+    c = _scalar(ring, other)
+    return None if c is None else (c, ring.base.zero)
+
+
+def _lies_below(e, other):
+    """True when e is an element of the base of other's ring (K under L).
+
+    Python does not try a reflected operator between two ExtElem, so the
+    operators hand such a pair to the element of the larger ring.
+    """
+    return type(other) is ExtElem and (other.ring.base is e.ring or other.ring.base == e.ring)
 
 
 class ExtElem:
-    """Element x + y*w of a quadratic extension, with x, y in the base field."""
+    """Element x + y*w of a quadratic algebra: x, y in ring.base, and
+    w^2 = ring.mp_a*w + ring.mp_b.
+
+    Products with an element of ring.base (or an int) scale both
+    coordinates, so an element of K times an element of L = K[theta] works
+    in either order.
+    """
 
     __slots__ = ("ring", "x", "y")
 
@@ -320,19 +448,11 @@ class ExtElem:
         self.x = ring.base.coerce(x)
         self.y = ring.base.coerce(y)
 
-    def _pair(self, other):
-        if isinstance(other, ExtElem):
-            if other.ring != self.ring:
-                raise TypeError("elements of different extensions")
-            return other
-        return ExtElem(self.ring, other, self.ring.base.zero)
-
     def __eq__(self, other):
-        try:
-            other = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
+        xy = _coords_in(self.ring, other)
+        if xy is None:
+            return other == self if _lies_below(self, other) else NotImplemented
+        return self.x == xy[0] and self.y == xy[1]
 
     def __hash__(self):
         return hash((self.ring, self.x, self.y))
@@ -341,35 +461,54 @@ class ExtElem:
         return bool(self.x) or bool(self.y)
 
     def __add__(self, other):
-        other = self._pair(other)
-        return ExtElem(self.ring, self.x + other.x, self.y + other.y)
+        xy = _coords_in(self.ring, other)
+        if xy is None:
+            return other + self if _lies_below(self, other) else NotImplemented
+        return _elem(self.ring, self.x + xy[0], self.y + xy[1])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._pair(other)
-        return ExtElem(self.ring, self.x - other.x, self.y - other.y)
+        xy = _coords_in(self.ring, other)
+        if xy is None:
+            return -(other - self) if _lies_below(self, other) else NotImplemented
+        return _elem(self.ring, self.x - xy[0], self.y - xy[1])
 
     def __rsub__(self, other):
-        return self._pair(other) - self
+        xy = _coords_in(self.ring, other)
+        if xy is None:
+            return NotImplemented
+        return _elem(self.ring, xy[0] - self.x, xy[1] - self.y)
 
     def __neg__(self):
-        return ExtElem(self.ring, -self.x, -self.y)
+        return _elem(self.ring, -self.x, -self.y)
 
     def __mul__(self, other):
-        other = self._pair(other)
-        a, b = self.ring.mp_a, self.ring.mp_b
-        # (x1 + y1 w)(x2 + y2 w) with w^2 = a*w + b
-        x = self.x * other.x + b * (self.y * other.y)
-        y = self.x * other.y + self.y * other.x + a * (self.y * other.y)
-        return ExtElem(self.ring, x, y)
+        ring = self.ring
+        if type(other) is ExtElem:
+            if other.ring is ring or other.ring == ring:
+                x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+                x = x1 * x2
+                y = x1 * y2 + y1 * x2
+                yy = y1 * y2
+                if yy:
+                    x = x + ring.mp_b * yy
+                    if ring.mp_a:
+                        y = y + ring.mp_a * yy
+                return _elem(ring, x, y)
+            if _lies_below(self, other):
+                return _elem(other.ring, other.x * self, other.y * self)
+        c = _scalar(ring, other)
+        if c is None:
+            return NotImplemented
+        return _elem(ring, self.x * c, self.y * c)
 
     __rmul__ = __mul__
 
     def conj(self):
         """Galois conjugate: w -> a - w."""
         a = self.ring.mp_a
-        return ExtElem(self.ring, self.x + a * self.y, -self.y)
+        return _elem(self.ring, self.x + a * self.y, -self.y)
 
     def norm(self):
         """Norm down to the base field: x^2 + a*x*y - b*y^2."""
@@ -377,22 +516,104 @@ class ExtElem:
         return self.x * self.x + a * self.x * self.y - b * self.y * self.y
 
     def __truediv__(self, other):
-        other = self._pair(other)
-        if not other:
+        ring = self.ring
+        if type(other) is ExtElem and (other.ring is ring or other.ring == ring):
+            if not other:
+                raise ZeroDivisionError("division by zero")
+            # multiply by the conjugate (x2 + a*y2) - y2*w, divide by the norm
+            a, b = ring.mp_a, ring.mp_b
+            x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+            cx = x2 + a * y2 if a else x2
+            n = x2 * cx - b * y2 * y2
+            yy = y1 * y2
+            x = x1 * cx - b * yy
+            y = y1 * cx - x1 * y2
+            if a:
+                y = y - a * yy
+            return _elem(ring, x / n, y / n)
+        c = _scalar(ring, other)
+        if c is None:
+            return NotImplemented
+        if not c:
             raise ZeroDivisionError("division by zero")
-        n = other.norm()
-        c = other.conj()
-        return ExtElem(self.ring, (self.x * c.x + self.ring.mp_b * self.y * c.y) / n,
-                       (self.x * c.y + self.y * c.x + self.ring.mp_a * self.y * c.y) / n)
+        return _elem(ring, self.x / c, self.y / c)
 
     def __rtruediv__(self, other):
-        return self._pair(other) / self
+        c = _scalar(self.ring, other)
+        if c is None:
+            return NotImplemented
+        return _elem(self.ring, c, self.ring.base.zero) / self
+
+    def coords(self):
+        """(x, y), flattened through a tower: (u.x, u.y, v.x, v.y) for u + v*theta."""
+        if type(self.x) is ExtElem:
+            return self.x.coords() + self.y.coords()
+        return (self.x, self.y)
+
+    def encode(self):
+        return self.ring.encode(self)
 
     def __repr__(self):
         return f"ExtElem({self.ring.encode(self)!r})"
 
 
-class QuadExt:
+class QuadAlgebra:
+    """The algebra base[w] with w^2 = mp_a*w + mp_b: the parent of ExtElem."""
+
+    def __init__(self, base, mp_a, mp_b):
+        self.base = base
+        self.mp_a = base.coerce(mp_a)
+        self.mp_b = base.coerce(mp_b)
+        self.char = base.char
+        self.zero = _elem(self, base.zero, base.zero)
+        self.one = _elem(self, base.one, base.zero)
+
+    def _key(self):
+        return (type(self).__name__, self.base, self.mp_a, self.mp_b)
+
+    def __eq__(self, other):
+        return isinstance(other, QuadAlgebra) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def coerce(self, x):
+        if type(x) is ExtElem and (x.ring is self or x.ring == self):
+            return x
+        return _elem(self, self.base.coerce(x), self.base.zero)
+
+    def embed(self, x):
+        """Embed a base-field element."""
+        return ExtElem(self, x, self.base.zero)
+
+    def gen(self):
+        """The generator w."""
+        return _elem(self, self.base.zero, self.base.one)
+
+    def from_int(self, n):
+        return self.coerce(n)
+
+    def parse(self, s):
+        """x + y*w from signed terms c and c*w, each c in the base's syntax.
+
+        A string without w is a base string.  Otherwise a coefficient with a
+        top-level '/' must be the only term without w (GF(p)(t) reads a
+        top-level '/' loosest, so "1 + 1/t + w" would be ambiguous).
+        """
+        base = self.base
+        if "w" not in s:
+            return self.embed(base.parse(s))
+        terms = _terms(_unwrap(s), "w")
+        plain = [c for _, c, k in terms if k == 0]
+        if len(plain) > 1 and any(_top_slash(c) >= 0 for c in plain):
+            raise ValueError(f"{s!r}: put a coefficient with '/' in parentheses")
+        if any(k > 1 for _, _, k in terms):
+            raise ValueError(f"{s!r}: powers of w above 1 are not read")
+        coeffs = _collect(terms, base.parse, base.zero, base.one)
+        return ExtElem(self, coeffs.get(0, base.zero), coeffs.get(1, base.zero))
+
+
+class QuadExt(QuadAlgebra):
     """Quadratic extension of a base DVR by a monic x^2 - a*x - b.
 
     ``ramification`` is "unramified" (reduction mod the maximal ideal is
@@ -408,14 +629,9 @@ class QuadExt:
             raise UnsupportedRing("extensions of extensions are not supported")
         if ramification not in ("unramified", "eisenstein"):
             raise ValueError("ramification must be 'unramified' or 'eisenstein'")
-        self.base = base
-        self.mp_a = base.coerce(mp_a)
-        self.mp_b = base.coerce(mp_b)
+        super().__init__(base, mp_a, mp_b)
         self.ramification = ramification
-        self.char = base.char
         self._validate()
-        self.zero = ExtElem(self, base.zero, base.zero)
-        self.one = ExtElem(self, base.one, base.zero)
 
     def _validate(self):
         a, b = self.mp_a, self.mp_b
@@ -439,17 +655,8 @@ class QuadExt:
                    for z in range(p)):
                 raise ValueError("reduction mod t is not irreducible")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadExt)
-            and other.base == self.base
-            and other.mp_a == self.mp_a
-            and other.mp_b == self.mp_b
-            and other.ramification == self.ramification
-        )
-
-    def __hash__(self):
-        return hash(("QuadExt", self.base, self.mp_a, self.mp_b, self.ramification))
+    def _key(self):
+        return super()._key() + (self.ramification,)
 
     def __repr__(self):
         return f"QuadExt({self.base!r}, w^2={self.base.encode(self.mp_a)}*w+{self.base.encode(self.mp_b)}, {self.ramification})"
@@ -458,40 +665,12 @@ class QuadExt:
     def p(self):
         return self.base.p
 
-    def coerce(self, x):
-        if isinstance(x, ExtElem):
-            if x.ring != self:
-                raise TypeError("element of a different ring")
-            return x
-        return ExtElem(self, self.base.coerce(x), self.base.zero)
-
-    def embed(self, x):
-        """Embed a base-field element."""
-        return ExtElem(self, x, self.base.zero)
-
-    def gen(self):
-        """The generator w."""
-        return ExtElem(self, self.base.zero, self.base.one)
-
-    def from_int(self, n):
-        return self.coerce(n)
-
     def val(self, x):
         x = self.coerce(x)
         vx, vy = self.base.val(x.x), self.base.val(x.y)
         if self.ramification == "unramified":
             return min(vx, vy)
         return min(2 * vx, 2 * vy + 1)
-
-    def val_via_norm(self, x):
-        """Cross-check valuation through the base norm (test hook)."""
-        x = self.coerce(x)
-        vn = self.base.val(x.norm())
-        if vn is INF:
-            return INF
-        if self.ramification == "unramified":
-            return vn // 2 if vn % 2 == 0 else Fraction(vn, 2)
-        return vn
 
     def is_integral(self, x):
         return self.val(x) >= 0
@@ -565,36 +744,8 @@ class QuadExt:
             return wterm
         return f"{xs} + {wterm}"
 
-    def parse(self, s):
-        s = _strip_outer_parens(s)
-        if "w" not in s:
-            return self.embed(self.base.parse(s))
-        # split on the last top-level '+' or '-' that precedes the w-term
-        depth = 0
-        split = None
-        for i, ch in enumerate(s):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and ch in "+-" and i > 0 and "w" in s[i:]:
-                split = i
-        if split is None:
-            head, ys = "", s
-            sign = 1
-        else:
-            head = s[:split]
-            sign = 1 if s[split] == "+" else -1
-            ys = s[split + 1 :]
-        ys = ys.strip()
-        if not ys.endswith("w"):
-            raise ValueError(f"cannot parse extension element {s!r}")
-        ys = ys[:-1].rstrip()
-        if ys.endswith("*"):
-            ys = ys[:-1]
-        ycoef = self.base.one if not ys.strip() else self.base.parse(ys)
-        if sign < 0:
-            ycoef = -ycoef
-        xcoef = self.base.parse(head) if head.strip() else self.base.zero
-        return ExtElem(self, xcoef, ycoef)
+    # bound in the class body, where the benchmark's tracer looks it up
+    parse = QuadAlgebra.parse
 
     def to_json(self):
         mp = f"x^2 - {self.base.encode(self.mp_a)}*x - {self.base.encode(self.mp_b)}"
@@ -606,35 +757,10 @@ class QuadExt:
         }
 
 
-def arith(ring, op, x, y=None):
-    """Field arithmetic dispatch: add, sub, mul, div, neg, inv."""
-    x = ring.coerce(x)
-    if op == "neg":
-        return -x
-    if op == "inv":
-        if not x:
-            raise ZeroDivisionError("inverse of zero")
-        return _one_of(ring) / x
-    y = ring.coerce(y)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if not y:
-            raise ZeroDivisionError("division by zero")
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def _one_of(ring):
-    return ring.one
-
-
 def ring_from_json(doc):
     """Build a ring instance from its JSON descriptor."""
+    if not isinstance(doc, dict):
+        raise ValueError("a ring descriptor is a JSON object")
     kind = doc.get("kind")
     if kind == "ZLoc":
         return ZLoc(int(doc["p"]))
@@ -645,5 +771,5 @@ def ring_from_json(doc):
         from .polys import parse_monic_quadratic
 
         a, b = parse_monic_quadratic(doc["minpoly"], base)
-        return QuadExt(base, a, b, doc["ramification"].lower())
+        return QuadExt(base, a, b, str(doc["ramification"]).lower())
     raise ValueError(f"unknown ring kind {kind!r}")

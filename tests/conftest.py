@@ -89,3 +89,44 @@ def _rand_unit(ring, rng):
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+def arith(ring, op, x, y=None):
+    """Field arithmetic dispatch: add, sub, mul, div, neg, inv."""
+    x = ring.coerce(x)
+    if op == "neg":
+        return -x
+    if op == "inv":
+        if not x:
+            raise ZeroDivisionError("inverse of zero")
+        return ring.one / x
+    y = ring.coerce(y)
+    if op == "add":
+        return x + y
+    if op == "sub":
+        return x - y
+    if op == "mul":
+        return x * y
+    if op == "div":
+        if not y:
+            raise ZeroDivisionError("division by zero")
+        return x / y
+    raise ValueError(f"unknown op {op!r}")
+
+
+def qmat_mul(base, X, Y):
+    """2x2 product over Q(sqrt d) for witness checks at the Dedekind level."""
+    return [
+        [
+            X[0][0] * Y[0][0] + X[0][1] * Y[1][0],
+            X[0][0] * Y[0][1] + X[0][1] * Y[1][1],
+        ],
+        [
+            X[1][0] * Y[0][0] + X[1][1] * Y[1][0],
+            X[1][0] * Y[0][1] + X[1][1] * Y[1][1],
+        ],
+    ]
+
+
+def qmat_det(X):
+    return X[0][0] * X[1][1] - X[0][1] * X[1][0]

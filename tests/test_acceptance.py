@@ -33,8 +33,6 @@ from matsim.lattices import (
     lattice_from_generators,
     lelem,
     mult_matrix,
-    qmat_det,
-    qmat_mul,
     steinitz,
 )
 from matsim.lm import (
@@ -53,6 +51,8 @@ from matsim.rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
 from conftest import (
     SEED,
+    qmat_det,
+    qmat_mul,
     all_instances,
     rand_field_elem,
     rand_gl2,

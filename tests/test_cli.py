@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from matsim.cli import main
 
 Z2 = '{"kind":"ZLoc","p":2}'
@@ -201,3 +203,29 @@ def test_file_io(tmp_path, capsys):
     code = main(["class-number", "--ring", Z2, "--in", str(payload), "--out", str(outfile)])
     assert code == 0
     assert json.loads(outfile.read_text()) == {"class_number": 2}
+
+
+def test_insep_bound_zero_is_used(capsys):
+    # the bound 0 used to fall back to the default 10 (lower bound 3)
+    for bound, expected in (("0", 1), ("1", 2)):
+        code, out, _ = run(
+            capsys, "class-number", "--ring", '{"kind":"FpTLoc","p":2}', "--insep-bound", bound,
+            "--in", '{"f": "x^2 - t^5"}',
+        )
+        assert code == 0 and json.loads(out) == {"class_number_lower_bound": expected}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--ring", "[1]", "--in", '{"matrix": [["1","0"],["0","1"]]}'],
+        ["classify", "--ring", '{"kind":"QuadExt","base":{"kind":"ZLoc","p":2},"minpoly":5,'
+         '"ramification":"unramified"}', "--in", '{"matrix": [["1","0"],["0","1"]]}'],
+        ["lm-to-ideal", "--ring", '{"kind":"ZZ"}', "--in", '{"f": "x^2+6", "matrix": 5}'],
+        ["lm-to-matrix", "--ring", '{"kind":"ZZ"}', "--in", '{"f": "x^2+6", "basis": 7}'],
+    ],
+    ids=["ring-list", "minpoly-int", "lm-matrix-int", "lm-basis-int"],
+)
+def test_malformed_input_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:")

@@ -6,7 +6,6 @@ from matsim.errors import NotFullRank, UnsupportedRing, X0InBase
 from matsim.lattices import (
     FracIdealR,
     QuadBase,
-    QuadNum,
     RelExt,
     coefficient_ideal,
     default_x0,
@@ -17,12 +16,12 @@ from matsim.lattices import (
     lattice_from_generators,
     lelem,
     mult_matrix,
-    qmat_det,
-    qmat_mul,
     steinitz,
-    theta,
     unit_ideal,
 )
+from matsim.rings import ExtElem
+
+from conftest import qmat_det, qmat_mul
 
 BASE = QuadBase(-5)
 
@@ -73,7 +72,7 @@ class TestQuadBase:
         assert w * w == BASE.elem(-5)
         assert (BASE.elem(2, 1) * BASE.elem(2, -1)) == BASE.elem(9)
         assert BASE.parse("2+w") == BASE.elem(2, 1)
-        assert BASE.parse("-1/2-3*w") == QuadNum(BASE, Fraction(-1, 2), -3)
+        assert BASE.parse("-1/2-3*w") == ExtElem(BASE, Fraction(-1, 2), -3)
 
 
 class TestLatticeConstruction:
@@ -125,7 +124,7 @@ class TestCoefficientIdeal:
     def test_full_ring_theta(self):
         ctx = RelExt.from_poly_string(BASE, "x^2 - 2")
         J = lattice_from_generators(ctx, [lelem(ctx, (1, 0, 0, 0))])
-        assert coefficient_ideal(J, theta(ctx)) == unit_ideal(BASE)
+        assert coefficient_ideal(J, ctx.gen()) == unit_ideal(BASE)
 
     def test_x0_in_base_rejected(self, sqrt2_lattice):
         ctx, J = sqrt2_lattice

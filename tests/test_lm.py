@@ -194,3 +194,14 @@ class TestEquivalence:
             B = ideal_to_matrix(f, J)
             JB = matrix_to_ideal(f, B)
             assert equivalent(J, JB)
+
+
+def test_field_solve_is_one_elimination_for_det_and_solve():
+    from matsim.intlin import field_solve
+
+    M = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1, 2)]]
+    det, (x, y) = field_solve(M, [[Fraction(4), Fraction(5)], [Fraction(0), Fraction(1)]])
+    assert det == -6
+    for sol, rhs in ((x, (4, 5)), (y, (0, 1))):
+        assert [M[i][0] * sol[0] + M[i][1] * sol[1] for i in range(2)] == list(rhs)
+    assert field_solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [[1, 1]]) == (0, None)

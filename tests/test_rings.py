@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from matsim.errors import NotIntegral
 from matsim.fppoly import FpPoly, FpRat
-from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc, arith
+from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc
+
+from conftest import arith
 
 from conftest import all_instances, instance_ids, rand_field_elem, rand_nonzero
 
