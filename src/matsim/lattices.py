@@ -53,7 +53,7 @@ class QuadBase(QuadAlgebra):
         return ExtElem(self, Fraction(x), Fraction(y))
 
     def encode(self, e):
-        """"2+w", "-w", "1/2-3*w"."""
+        """Strings like 2+w, -w and 1/2-3*w."""
         enc = QQ.encode
         if not e.y:
             return enc(e.x)
@@ -339,7 +339,9 @@ def default_x0(J: LLattice) -> ExtElem:
 
 def steinitz(J: LLattice, x0: ExtElem | None = None) -> FracIdealR:
     """The Steinitz ideal frak_a * (J cap K); principal iff J is free."""
-    return decompose(J, x0).steinitz
+    if x0 is None:
+        x0 = default_x0(J)
+    return ideal_mul(coefficient_ideal(J, x0), intersect_base(J))
 
 
 class Decomposition(NamedTuple):
