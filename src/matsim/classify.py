@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsepBoundRequired, InvalidParams, NotIntegral
+from .errors import InsepBoundRequired, InvalidParams, NotIntegral, ReduciblePoly
 from .polys import MonicPoly, quad_factor
 from .rings import INF
 
@@ -668,7 +668,7 @@ def class_number(ring, f: MonicPoly, insep_bound: int = 10):
     """Closed-form class count for irreducible f (LowerBound when inseparable)."""
     fact = quad_factor(f, ring)
     if fact.reducible:
-        raise ValueError("class_number expects an irreducible quadratic")
+        raise ReduciblePoly("class_number expects an irreducible quadratic")
     e = ring.val_of_two()
     a, b = f.a, f.b
     if e == 0:
@@ -693,7 +693,7 @@ def ideal_reps(ring, f: MonicPoly, insep_bound: int | None = None):
     """
     forms = class_list(ring, f, insep_bound)
     if forms and isinstance(forms[0], Reducible):
-        raise ValueError("ideal_reps expects an irreducible quadratic")
+        raise ReduciblePoly("ideal_reps expects an irreducible quadratic")
     a = f.a
     two = ring.from_int(2)
     out = []

@@ -59,3 +59,7 @@ class UnsupportedRing(MatsimError):
 
 class InvalidParams(MatsimError):
     """Canonical-form parameters violate their defining inequalities."""
+
+
+class ReduciblePoly(MatsimError, ValueError):
+    """An operation defined for irreducible f was given a reducible one."""

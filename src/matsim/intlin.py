@@ -154,12 +154,6 @@ class _ZDom:
         return abs(x)
 
     @staticmethod
-    def divmod(a, b):
-        q, r = divmod(a, b)
-        # symmetric remainder keeps sizes small; plain divmod suffices
-        return q, r
-
-    @staticmethod
     def normalize(x):
         return (-x, -1) if x < 0 else (x, 1)
 
@@ -174,10 +168,6 @@ class _PolyDom:
         return x.degree + 1
 
     @staticmethod
-    def divmod(a, b):
-        return divmod(a, b)
-
-    @staticmethod
     def normalize(x):
         if x.is_zero():
             return x, 1
@@ -188,15 +178,17 @@ class _PolyDom:
         return x * inv, inv
 
 
-def smith_normal_form(rows, dom=None):
-    """(D, U, V) with U*M*V = D diagonal, U and V unimodular."""
+def smith_normal_form(rows):
+    """(D, U, V) with U*M*V = D diagonal, U and V unimodular.
+
+    The entries are all ints or all FpPoly; the domain follows their type.
+    """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    if dom is None:
-        dom = _PolyDom if nr and nc and isinstance(m[0][0], FpPoly) else _ZDom
-    U = _ident_like(m, nr, nr)
-    V = _ident_like(m, nc, nc)
+    dom = _PolyDom if nr and nc and isinstance(m[0][0], FpPoly) else _ZDom
+    U = _ident_like(m, nr)
+    V = _ident_like(m, nc)
     t = 0
     while t < min(nr, nc):
         piv = _smallest_nonzero(m, t, dom)
@@ -211,13 +203,13 @@ def smith_normal_form(rows, dom=None):
             _swap_cols(m, V, t, j0)
             for i in range(t + 1, nr):
                 if not dom.is_zero(m[i][t]):
-                    q, _ = dom.divmod(m[i][t], m[t][t])
+                    q = m[i][t] // m[t][t]
                     _row_op(m, U, i, t, q)
                     if not dom.is_zero(m[i][t]):
                         changed = True
             for j in range(t + 1, nc):
                 if not dom.is_zero(m[t][j]):
-                    q, _ = dom.divmod(m[t][j], m[t][t])
+                    q = m[t][j] // m[t][t]
                     _col_op(m, V, j, t, q)
                     if not dom.is_zero(m[t][j]):
                         changed = True
@@ -233,7 +225,7 @@ def smith_normal_form(rows, dom=None):
     return m, U, V
 
 
-def _ident_like(m, n, _):
+def _ident_like(m, n):
     if m and m[0] and isinstance(m[0][0], FpPoly):
         p = m[0][0].p
         return [[FpPoly.const(p, int(i == j)) for j in range(n)] for i in range(n)]

@@ -89,8 +89,9 @@ def _pmul_mod(ring, f: MonicPoly, u, v):
 
 def _theta_times(ring, f: MonicPoly, u):
     n = f.degree
-    x = [ring.zero, ring.one] + [ring.zero] * (n - 2) if n >= 2 else [ring.one]
-    return _pmul_mod(ring, f, u, tuple(x[:n]) if n >= 2 else (ring.one,))
+    # theta in the power basis: x, or -c0 when f = x + c0
+    theta = (ring.zero, ring.one) + (ring.zero,) * (n - 2) if n >= 2 else (-f.coeffs[0],)
+    return _pmul_mod(ring, f, u, theta)
 
 
 @dataclass(frozen=True)

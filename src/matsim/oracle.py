@@ -7,20 +7,23 @@ Exact witnesses always carry the positive direction.
 
 The search space (R/pi^N)^(2x2) is never materialized: the congruence is a
 linear system over the base Euclidean domain (Z or GF(p)[t]), so the solution
-set is enumerated from a Smith normal form.  The result is identical to the
-naive enumeration (cross-checked in the tests) and deterministic: candidates
-are reported in the canonical element order.
+set is enumerated from a Smith normal form.  Each entry of the unknown matrix
+is one unknown over ZLoc or FpTLoc and two over a quadratic extension (the
+coordinates x, y of x + y*w); one solver serves both.  The result is
+identical to the naive enumeration (cross-checked in the tests) and
+deterministic: candidates are reported in the canonical element order.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .classify import Mat2, pi_pow
 from .errors import BudgetExceeded
-from .fppoly import FpPoly
 from .intlin import smith_normal_form
-from .rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc
+from .rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
 DEFAULT_BUDGET = 10**7
 
@@ -116,215 +119,102 @@ def conj_search_naive(ring, A: Mat2, B: Mat2, N: int, budget: int = DEFAULT_BUDG
 
 
 def _solve_congruence(ring, A, B, N, budget):
-    """All X over R/pi^N with X*A = B*X mod pi^N, as canonically lifted Mat2."""
-    if isinstance(ring, (ZLoc, FpTLoc)):
-        return _solve_base(ring, A, B, N, budget)
-    return _solve_ext(ring, A, B, N, budget)
+    """All X over R/pi^N with X*A = B*X mod pi^N, as canonically lifted Mat2.
 
+    The unknowns are the base coordinates of the four entries of X in the
+    basis (1) of a base ring or (1, w) of an extension, and coordinate k
+    matters modulo pi_base^levels[k] only.  Multiplication by c acts on the
+    coordinates of one entry by the block whose column g holds the
+    coordinates of c*g.  Solutions are reduced coordinate by coordinate
+    modulo their levels, deduplicated, then lifted.
+    """
+    if isinstance(ring, QuadExt):
+        base, basis = ring.base, (ring.one, ring.gen())
+        eisen = ring.ramification == "eisenstein"
+        levels = ((N + 1) // 2, N // 2) if eisen else (N, N)
+        coords, elem = (lambda c: (c.x, c.y)), (lambda x, y: ExtElem(ring, x, y))
+    else:
+        base, basis, levels = ring, (ring.one,), (N,)
+        coords, elem = (lambda c: (c,)), (lambda x: x)
+    d, H = len(basis), max(levels)
+    pows = _pi_powers(base, H)
+    zero = pows[0] - pows[0]
 
-def _coeff_matrix(entries_a, entries_b, zero):
-    """Coefficients of the 4 linear forms (X*A - B*X)[i][j] in X[r][c]."""
+    def block(c):
+        # block[g][k]: coordinate k of c*g
+        return [[base.residue(e, H) for e in coords(c * g)] for g in basis]
+
+    bA = [[block(A[r][c]) for c in range(2)] for r in range(2)]
+    bB = [[block(B[r][c]) for c in range(2)] for r in range(2)]
+    # row k of entry (i, j) of X*A - B*X, over the unknowns (r, c, g), scaled
+    # so that every row is a congruence modulo pi_base^H
     rows = []
-    for i in range(2):
-        for j in range(2):
-            row = []
-            for r in range(2):
-                for c in range(2):
-                    acc = zero
-                    if r == i:
-                        acc = acc + entries_a[c][j]
-                    if c == j:
-                        acc = acc - entries_b[i][r]
-                    row.append(acc)
-            rows.append(row)
-    return rows
-
-
-def _solve_base(ring, A, B, N, budget):
-    p = ring.p
-    if isinstance(ring, ZLoc):
-        q = p**N
-        lift = lambda x: ring.residue(x, N)
-        coeffs = _coeff_matrix(
-            [[lift(A[i][j]) for j in range(2)] for i in range(2)],
-            [[lift(B[i][j]) for j in range(2)] for i in range(2)],
-            0,
-        )
-        sols = _kernel_mod(coeffs, q, _val_int(p), N, p, budget)
-        out = []
-        for x in sols:
-            out.append(Mat2(ring, [[x[0] % q, x[1] % q], [x[2] % q, x[3] % q]]))
-        return out
-    q = FpPoly.t_power(p, N)
-    lift = lambda x: ring.residue(x, N)
-    coeffs = _coeff_matrix(
-        [[lift(A[i][j]) for j in range(2)] for i in range(2)],
-        [[lift(B[i][j]) for j in range(2)] for i in range(2)],
-        FpPoly.const(p, 0),
+    for i, j, k in itertools.product(range(2), range(2), range(d)):
+        row = []
+        for r, c, g in itertools.product(range(2), range(2), range(d)):
+            e = zero
+            if r == i:
+                e = e + bA[c][j][g][k]
+            if c == j:
+                e = e - bB[i][r][g][k]
+            row.append(pows[H - levels[k]] * e)
+        rows.append(row)
+    mods = [pows[levels[k]] for k in range(d)] * 4
+    reduced = dict.fromkeys(
+        tuple(map(operator.mod, x, mods)) for x in _kernel_mod(base, rows, pows, budget)
     )
-    sols = _kernel_mod(coeffs, q, _val_poly, N, p, budget)
-    return [Mat2(ring, [[x[0] % q, x[1] % q], [x[2] % q, x[3] % q]]) for x in sols]
-
-
-def _val_int(p):
-    def v(d):
-        if d == 0:
-            return INF
-        out = 0
-        while d % p == 0:
-            d //= p
-            out += 1
-        return out
-
-    return v
-
-
-def _val_poly(d):
-    if d.is_zero():
-        return INF
-    return d.order()
-
-
-def _kernel_mod(coeffs, q, valuation, H, p, budget):
-    """Solutions x of coeffs * x = 0 mod q, where q has valuation H."""
-    D, _, V = smith_normal_form(coeffs)
-    ncols = len(coeffs[0])
-    diag = [D[i][i] if i < len(D) else None for i in range(ncols)]
-    free = []
-    for d in diag:
-        if d is None or (valuation(d) is INF):
-            free.append(H)
-        else:
-            free.append(min(valuation(d), H))
-    count = 1
-    for fcount in free:
-        count *= p**fcount
-        if count > budget:
-            raise BudgetExceeded(f"solution set of size {count} exceeds budget {budget}")
-    sols = []
-    for z in _iter_z(free, q, H, p):
-        x = [_dot(V[j], z) for j in range(ncols)]
-        sols.append(x)
-    return sols
-
-
-def _iter_z(free, q, H, p):
-    """z vectors: z_i = shift_i * k, k over residues mod p^free_i (or t^free_i)."""
-    if isinstance(q, int):
-        shifts = [p ** (H - f) for f in free]
-        counts = [p**f for f in free]
-
-        def values(i):
-            return [shifts[i] * k for k in range(counts[i])]
-
-    else:
-        shifts = [FpPoly.t_power(p, H - f) for f in free]
-
-        def values(i):
-            out = []
-            for code in range(p ** free[i]):
-                coeffs = []
-                cc = code
-                for _ in range(free[i]):
-                    coeffs.append(cc % p)
-                    cc //= p
-                out.append(shifts[i] * FpPoly(p, coeffs))
-            return out
-
-    def rec(i, cur):
-        if i == len(free):
-            yield list(cur)
-            return
-        for v in values(i):
-            cur.append(v)
-            yield from rec(i + 1, cur)
-            cur.pop()
-
-    yield from rec(0, [])
-
-
-def _dot(col, z):
-    acc = None
-    for a, b in zip(col, z):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _solve_ext(ring, A, B, N, budget):
-    """Quadratic extensions: 8 base unknowns with per-coordinate moduli."""
-    base = ring.base
-    p = base.p
-    unram = ring.ramification == "unramified"
-    hx = N if unram else (N + 1) // 2
-    hy = N if unram else N // 2
-    H = max(hx, hy)
-    if isinstance(base, ZLoc):
-        q = p**H
-        zero = 0
-        shift = lambda k: p**k
-        lift = lambda x, h: base.residue(x, h) if h > 0 else 0
-        val = _val_int(p)
-    else:
-        q = FpPoly.t_power(p, H)
-        zero = FpPoly.const(p, 0)
-        shift = lambda k: FpPoly.t_power(p, k)
-        lift = lambda x, h: base.residue(x, h) if h > 0 else FpPoly.const(p, 0)
-        val = _val_poly
-    w = ring.gen()
-
-    def mult_block(c):
-        # base 2x2 matrix of multiplication by c on (x, y) coords: columns c, c*w
-        cw = c * w
-        return [[lift(c.x, H), lift(cw.x, H)], [lift(c.y, H), lift(cw.y, H)]]
-
-    # unknown layout: for each matrix slot (r, c): two coords (x, y)
-    rows = []
-    for i in range(2):
-        for j in range(2):
-            for part in range(2):  # x-part then y-part of the equation
-                row = [zero] * 8
-                for r in range(2):
-                    for c in range(2):
-                        blk = None
-                        if r == i:
-                            blk = mult_block(A[c][j])
-                        if c == j:
-                            nb = mult_block(B[i][r])
-                            blk = (
-                                [[blk[0][0] - nb[0][0], blk[0][1] - nb[0][1]],
-                                 [blk[1][0] - nb[1][0], blk[1][1] - nb[1][1]]]
-                                if blk is not None
-                                else [[zero - nb[0][0], zero - nb[0][1]],
-                                      [zero - nb[1][0], zero - nb[1][1]]]
-                            )
-                        if blk is None:
-                            continue
-                        for part2 in range(2):
-                            row[2 * (2 * r + c) + part2] = (
-                                row[2 * (2 * r + c) + part2] + blk[part][part2]
-                            )
-                # equation row scaled so every congruence is mod pi_base^H
-                scale = H - (hx if part == 0 else hy)
-                if scale:
-                    row = [shift(scale) * x for x in row]
-                rows.append(row)
-    sols = _kernel_mod(rows, q, val, H, p, budget)
-    seen = set()
     out = []
-    for x in sols:
-        entries = []
-        for slot in range(4):
-            ex = base.lift(x[2 * slot] % q)
-            ey = base.lift(x[2 * slot + 1] % q)
-            elem = ring.lift(ring.residue(ExtElem(ring, ex, ey), N))
-            entries.append(elem)
-        U = Mat2(ring, [[entries[0], entries[1]], [entries[2], entries[3]]])
-        key = tuple(ring.sort_key(e) for e in entries)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(U)
+    for x in reduced:
+        entries = [elem(*map(base.lift, x[s : s + d])) for s in range(0, 4 * d, d)]
+        # lifts of residues: integral by construction
+        out.append(Mat2(ring, [entries[:2], entries[2:]], check_integral=False))
+    return out
+
+
+def _pi_powers(base, H):
+    """[1, pi, ..., pi^H] in the Euclidean domain of residues (Z or GF(p)[t])."""
+    pi = base.residue(base.uniformizer(), H + 1)
+    pows = [base.residue(base.one, 1)]
+    for _ in range(H):
+        pows.append(pows[-1] * pi)
+    return pows
+
+
+def _kernel_mod(base, rows, pows, budget):
+    """One x in each class mod pows[H] of solutions of rows * x = 0 mod pows[H].
+
+    With U * rows * V = D, x = V * z where z_i runs over pi^(H - f_i) times
+    the residues mod pi^(f_i), f_i = min(v(D_ii), H).
+    """
+    H = len(pows) - 1
+    D, _, V = smith_normal_form(rows)
+    free = [min(base.val(D[i][i]), H) for i in range(len(D))]
+    count = base.p ** sum(free)
+    if count > budget:
+        raise BudgetExceeded(f"solution set of size {count} exceeds budget {budget}")
+    # z_i * (column i of V) for every value of z_i, so x is a sum of one
+    # step per free column
+    steps = []
+    for i, f in enumerate(free):
+        if f:
+            col = [row[i] % pows[H] for row in V]
+            steps.append([[b * z for b in col] for z in _multiples(pows, H - f, f, base.p)])
+
+    def extend(i, x):
+        if i == len(steps):
+            yield x
+            return
+        for step in steps[i]:
+            yield from extend(i + 1, [a + b for a, b in zip(x, step)])
+
+    yield from extend(0, [pows[0] - pows[0]] * len(V))
+
+
+def _multiples(pows, lo, n, p):
+    """pows[lo] * k for every k mod pi^n, from the base-p digits of k."""
+    out = [pows[0] - pows[0]]
+    for e in range(lo, lo + n):
+        out = [z + digit * pows[e] for digit in range(p) for z in out]
     return out
 
 

@@ -215,6 +215,24 @@ def test_insep_bound_zero_is_used(capsys):
         assert code == 0 and json.loads(out) == {"class_number_lower_bound": expected}
 
 
+
+def test_lm_to_ideal_degree_one(capsys):
+    # theta = 3 for f = x - 3, so the 1x1 matrix [3] is the ideal (1)
+    code, out, _ = run(capsys, "lm-to-ideal", "--ring", '{"kind":"ZZ"}', "--in",
+                       '{"f": "x - 3", "matrix": [["3"]]}')
+    assert code == 0 and json.loads(out) == {"basis": [["1"]], "verified": True}
+
+
+def test_lm_to_matrix_degree_one(capsys):
+    code, out, _ = run(capsys, "lm-to-matrix", "--ring", '{"kind":"ZZ"}', "--in",
+                       '{"f": "x - 3", "basis": [["1"]]}')
+    assert code == 0 and json.loads(out) == {"matrix": [["3"]]}
+
+
+def test_class_number_reducible_exits_3(capsys):
+    code, _, err = run(capsys, "class-number", "--ring", Z2, "--in", '{"f": "x^2 - 1"}')
+    assert code == 3 and "ReduciblePoly" in err
+
 @pytest.mark.parametrize(
     "argv",
     [

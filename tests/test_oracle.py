@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
-from matsim.classify import Mat2, canonical_matrix, class_list, similar, witness
+from matsim.classify import Mat2, canonical_matrix, class_list, pi_pow, similar, witness
 from matsim.errors import BudgetExceeded
 from matsim.oracle import (
+    _solve_congruence,
     conj_search_mod,
     conj_search_naive,
     enumerate_quotient,
@@ -13,13 +16,14 @@ from matsim.oracle import (
 from matsim.polys import MonicPoly
 from matsim.rings import FpTLoc, QuadExt, ZLoc
 
-from conftest import all_instances, instance_ids, rand_gl2, rand_mat
+from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
 F2 = FpTLoc(2)
 UNRAM = QuadExt(Z2, 1, 1, "unramified")
 EISEN = QuadExt(Z2, 0, 2, "eisenstein")
+EISEN_F2 = QuadExt(F2, 0, F2.uniformizer(), "eisenstein")
 
 
 def quad(ring, a, b):
@@ -82,6 +86,55 @@ class TestConjSearch:
         r1 = conj_search_mod(Z2, A, A, 3)
         r2 = conj_search_mod(Z2, A, A, 3)
         assert r1.U == r2.U
+
+
+def _literal_solution_keys(ring, A, B, N):
+    """Sort keys of every X in (R/pi^N)^(2x2) with X*A = B*X mod pi^N."""
+    reps = list(ring.residues(N))
+    # X*A - B*X mod pi^N depends on A and B mod pi^N only
+    A, B = (
+        [[ring.lift(ring.residue(M[i][j], N)) for j in range(2)] for i in range(2)] for M in (A, B)
+    )
+    xa = [[[x * A[c][j] for j in range(2)] for c in range(2)] for x in reps]
+    bx = [[[B[i][r] * x for r in range(2)] for i in range(2)] for x in reps]
+
+    def holds(X, i, j):
+        e = xa[X[i][0]][0][j] + xa[X[i][1]][1][j] - bx[X[0][j]][i][0] - bx[X[1][j]][i][1]
+        return ring.val(e) >= N
+
+    keys = []
+    idx = range(len(reps))
+    for x00, x01, x10 in itertools.product(idx, repeat=3):
+        # entry (0, 0) does not involve X[1][1]: test it once for all x11
+        if not holds(((x00, x01), (x10, None)), 0, 0):
+            continue
+        for x11 in idx:
+            X = ((x00, x01), (x10, x11))
+            if holds(X, 0, 1) and holds(X, 1, 0) and holds(X, 1, 1):
+                keys.append(tuple(ring.sort_key(reps[e]) for e in (x00, x01, x10, x11)))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "ring", all_instances() + [EISEN_F2], ids=instance_ids() + ["EisenF2"]
+)
+def test_solution_set_matches_enumeration(ring, rng):
+    # every solution, not just the first witness, at each N <= 3 whose search
+    # space stays small; N = 3 is where the Eisenstein levels (2, 1) differ
+    for N in (1, 2, 3):
+        if quotient_size(ring, N) ** 4 > 3 * 10**5:
+            continue
+        A = rand_mat(ring, rng)
+        pi = pi_pow(ring, 1)
+        near = Mat2(ring, [[int(i == j) + pi * rand_integral(ring, rng) for j in range(2)]
+                           for i in range(2)])
+        V = rand_gl2(ring, rng)
+        pairs = [(A, rand_mat(ring, rng)), (A, (V @ A) @ V.inv()), (near, near)]
+        for A_, B_ in pairs:
+            sols = _solve_congruence(ring, A_, B_, N, 10**7)
+            got = [tuple(ring.sort_key(U[i][j]) for i in range(2) for j in range(2)) for U in sols]
+            assert len(set(got)) == len(got)
+            assert sorted(got) == _literal_solution_keys(ring, A_, B_, N)
 
 
 class TestSoundness:
