@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InsepBoundRequired, InvalidParams, NotIntegral, ReduciblePoly
-from .polys import MonicPoly, quad_factor
+from .polys import MonicPoly, disc_quad, quad_factor
 from .rings import INF
 
 
@@ -234,12 +234,18 @@ def reduce_mod(ring, x, k: int):
     return ring.lift(ring.residue(x, k))
 
 
-def _presented(ring, f, n, rho):
-    """The matrix of multiplication by theta on the basis (pi^n, rho + theta)."""
+def _theta_matrix(ring, f, g1, c):
+    """The matrix of multiplication by theta on the basis (g1, c + theta).
+
+    Row 1 holds theta*(c + theta) = (b - c(a+c)) + (a+c)*(c + theta); the
+    integrality check of Mat2 is the check that the basis spans an ideal.
+    """
     a, b = f.a, f.b
-    T = b - rho * (a + rho)
-    pin = pi_pow(ring, n)
-    return Mat2(ring, [[-rho, pin], [T / pin, a + rho]])
+    return Mat2(ring, [[-c, g1], [(b - c * (a + c)) / g1, a + c]])
+
+
+def _presented(ring, f, n, rho):
+    return _theta_matrix(ring, f, pi_pow(ring, n), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +359,27 @@ def _classify_insep(ring, A, f):
 
 
 # ---------------------------------------------------------------------------
-# the m-search of the classification (maximal collapse level)
+# the classification branch and its m-search (maximal collapse level)
+
+
+def _branch(ring, f: MonicPoly):
+    """(name, Delta, v(Delta)) for irreducible f = x^2 - a*x - b.
+
+    The branch is insep (char 2, a = 0), char2sep (char 2, a != 0), unit2
+    (v(2) = 0), case1 (v(a) < v(2)), else case21 / case22 by the parity of
+    v(Delta), Delta = a^2/4 + b.  Delta and v(Delta) are None where 2 is not
+    invertible or the branch does not use them (case1).
+    """
+    if ring.char == 2:
+        return ("char2sep" if f.a else "insep"), None, None
+    e = ring.val_of_two()
+    if e != 0 and ring.val(f.a) < e:
+        return "case1", None, None
+    delta = disc_quad(f, ring)
+    vd = ring.val(delta)
+    if e == 0:
+        return "unit2", delta, vd
+    return ("case21" if vd % 2 == 1 else "case22"), delta, vd
 
 
 def compute_m(ring, f: MonicPoly, case: str):
@@ -362,32 +388,25 @@ def compute_m(ring, f: MonicPoly, case: str):
     together with the least realizing r in the deterministic element order.
 
     The condition only depends on r modulo pi^(2m), so the search is a
-    finite residue enumeration, descending from the case bound.
+    finite residue enumeration, descending from the case bound.  Case22 is
+    the same search for x^2 - u, u = Delta/pi^v(Delta), scaled by
+    pi^(v(Delta)/2); for m >= 1 every root of x^2 - u is a unit.
     """
-    a, b = f.a, f.b
     if case in ("case1", "char2sep"):
-        bound = ring.val(a)
-        assert bound is not INF and bound >= 0
-        for m in range(bound, 0, -1):
-            for r in ring.residues(2 * m):
-                if ring.val(b - r * (r + a)) >= 2 * m:
-                    return m, r
-        return 0, ring.zero
-    if case == "case22":
-        e = ring.val_of_two()
-        delta = a * a / ring.from_int(4) + b
-        vd = ring.val(delta)
-        assert vd % 2 == 0
-        half = pi_pow(ring, vd // 2)
-        for m in range(e, 0, -1):
-            for rho in ring.residues(2 * m):
-                if ring.val(rho) != 0:
-                    continue
-                r = half * rho
-                if ring.val(delta - r * r) >= 2 * m + vd:
-                    return m, r
-        return 0, None
-    raise ValueError(f"unknown case {case!r}")
+        a, b, bound, scale = f.a, f.b, ring.val(f.a), ring.one
+    elif case == "case22":
+        delta = disc_quad(f, ring)
+        if ring.val(delta) % 2:
+            raise ValueError("case22 needs an even v(Delta)")
+        scale = pi_pow(ring, ring.val(delta) // 2)
+        a, b, bound = ring.zero, delta / (scale * scale), ring.val_of_two()
+    else:
+        raise ValueError(f"unknown case {case!r}")
+    for m in range(bound, 0, -1):
+        for r in ring.residues(2 * m):
+            if ring.val(b - r * (r + a)) >= 2 * m:
+                return m, scale * r
+    return 0, (None if case == "case22" else ring.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +434,12 @@ class _Chain:
         return U
 
 
-def _classify_irreducible(ring, A, f):
+_SEP_FORMS = {"case1": Case1, "char2sep": Char2Sep}
+_MAIN_FORMS = {"unit2": Unit2, "case21": Case21, "case22": Case22Main}
+_BRANCH_FORMS = {**_SEP_FORMS, **_MAIN_FORMS, "case22": (Case22Main, Case22Extra), "insep": Insep}
+
+
+def _classify_irreducible(ring, A, f, branch):
     a, b = f.a, f.b
     alpha, beta = A[0][0], A[0][1]
     assert beta, "irreducible characteristic polynomial forces a nonzero corner"
@@ -463,40 +487,25 @@ def _classify_irreducible(ring, A, f):
             rho = rho_new
 
     # dispatch on the classification branch and move rho to its canonical value
-    e = ring.val_of_two()
-    if e == 0 or (e is not INF and ring.val(a) >= e):
-        two = ring.from_int(2)
-        four = ring.from_int(4)
-        delta_f = a * a / four + b
-        vd = ring.val(delta_f)
-        r_prime = rho + a / two
-        if ring.val(r_prime) >= n:
-            target = -a / two
-            if e == 0:
-                assert vd >= 2 * n
-                form = Unit2(f, n)
-            elif vd % 2 == 1:
-                assert n <= vd // 2
-                form = Case21(f, n)
-            else:
-                assert n <= vd // 2
-                form = Case22Main(f, n)
-        else:
-            assert e != 0 and vd % 2 == 0 and ring.val(r_prime) * 2 == vd
-            i = n - vd // 2
-            assert 1 <= i <= e
-            m, rstar = compute_m(ring, f, "case22")
-            assert i <= m
-            form = Case22Extra(f, rstar, i)
-            target = rstar - a / two
-    else:
-        # v(a) < e, including the separable char-2 case (e infinite)
-        i = n
-        case = "char2sep" if e is INF else "case1"
-        m, rstar = compute_m(ring, f, case)
-        assert i <= m
-        form = Case1(f, rstar, i) if case == "case1" else Char2Sep(f, rstar, i)
+    name, _, vd = branch
+    if name in _SEP_FORMS:
+        m, rstar = compute_m(ring, f, name)
+        assert n <= m
+        form = _SEP_FORMS[name](f, rstar, n)
         target = rstar
+    else:
+        half_a = a / ring.from_int(2)
+        v_shift = ring.val(rho + half_a)
+        if v_shift >= n:
+            assert 2 * n <= vd
+            form = _MAIN_FORMS[name](f, n)
+            target = -half_a
+        else:
+            assert name == "case22" and 2 * v_shift == vd
+            m, rstar = compute_m(ring, f, name)
+            assert 1 <= n - vd // 2 <= m
+            form = Case22Extra(f, rstar, n - vd // 2)
+            target = rstar - half_a
 
     dlt = target - rho
     assert n == 0 or ring.val(dlt) >= n, "canonical parameter change must fix the class"
@@ -518,9 +527,10 @@ def to_canonical(ring, A: Mat2):
     fact = quad_factor(f, ring)
     if fact.reducible:
         return _classify_reducible(ring, A, f, fact)
-    if ring.char == 2 and not f.a:
+    branch = _branch(ring, f)
+    if branch[0] == "insep":
         return _classify_insep(ring, A, f)
-    return _classify_irreducible(ring, A, f)
+    return _classify_irreducible(ring, A, f, branch)
 
 
 def classify(ring, A: Mat2):
@@ -553,9 +563,6 @@ def canonical_matrix(form) -> Mat2:
     """The representative matrix of a canonical form (validated)."""
     f = form.f
     ring = f.ring
-    a, b = f.a, f.b
-    e = ring.val_of_two()
-    out = None
     if isinstance(form, Reducible):
         lam1, lam2, tau = form.lam1, form.lam2, form.tau
         if ring.val(lam1) < ring.val(lam2):
@@ -566,56 +573,35 @@ def canonical_matrix(form) -> Mat2:
         elif tau != pi_pow(ring, ring.val(tau)):
             raise InvalidParams("tau must be a power of the uniformizer")
         out = Mat2(ring, [[lam1, tau], [ring.zero, lam2]])
-    elif isinstance(form, Insep):
-        if ring.char != 2 or (form.u * form.u + form.s * pi_pow(ring, form.i)) != b:
-            raise InvalidParams("need char 2 and u^2 + s*pi^i = b")
-        out = Mat2(ring, [[form.u, form.s], [pi_pow(ring, form.i), form.u]])
+        if out.char_poly() != f:
+            raise InvalidParams("parameters are inconsistent with f")
+        return out
+    if not isinstance(form, CanonForm):
+        raise TypeError(f"not a canonical form: {form!r}")
+    name, delta, vd = _branch(ring, f)
+    if not isinstance(form, _BRANCH_FORMS[name]):
+        raise InvalidParams(f"{type(form).__name__} is not a form of the {name} branch of f")
+    # every irreducible class is theta on a basis (g1, c + theta)
+    if isinstance(form, Insep):
+        if not form.s or form.u * form.u + form.s * pi_pow(ring, form.i) != f.b:
+            raise InvalidParams("need s != 0 and u^2 + s*pi^i = b")
+        g1, c = form.s, form.u
     elif isinstance(form, (Case1, Char2Sep)):
-        if isinstance(form, Case1) and not (0 < e is not INF and ring.val(a) < e):
-            raise InvalidParams("Case1 needs 0 < v(2) < oo and v(a) < v(2)")
-        if isinstance(form, Char2Sep) and (e is not INF or not a):
-            raise InvalidParams("Char2Sep needs char 2 and a != 0")
-        T = b - form.r * (form.r + a)
-        if ring.val(T) < 2 * form.i or form.i > ring.val(a):
+        if ring.val(f.b - form.r * (form.r + f.a)) < 2 * form.i or form.i > ring.val(f.a):
             raise InvalidParams("need v(b - r(r+a)) >= 2i and i <= v(a)")
-        pii = pi_pow(ring, form.i)
-        out = Mat2(ring, [[-form.r, pii], [T / pii, a + form.r]])
+        g1, c = pi_pow(ring, form.i), form.r
+    elif isinstance(form, Case22Extra):
+        if not 1 <= form.i <= ring.val_of_two():
+            raise InvalidParams("extra family needs 1 <= i <= v(2)")
+        if ring.val(delta - form.r * form.r) < vd + 2 * form.i:
+            raise InvalidParams("need v(Delta - r^2) >= v(Delta) + 2i")
+        g1, c = pi_pow(ring, vd // 2 + form.i), form.r - f.a / ring.from_int(2)
     else:
-        two = ring.from_int(2)
-        delta = a * a / ring.from_int(4) + b
-        vd = ring.val(delta)
-        if isinstance(form, Unit2):
-            if e != 0:
-                raise InvalidParams("Unit2 needs 2 to be a unit")
-            if not 0 <= 2 * form.k <= vd:
-                raise InvalidParams("need v(a^2/4 + b) >= 2k >= 0")
-            pik = pi_pow(ring, form.k)
-            out = Mat2(ring, [[a / two, pik], [delta / pik, a / two]])
-        elif isinstance(form, (Case21, Case22Main)):
-            if isinstance(form, Case21) and vd % 2 == 0:
-                raise InvalidParams("Case21 needs odd v(Delta)")
-            if isinstance(form, Case22Main) and vd % 2 == 1:
-                raise InvalidParams("Case22 needs even v(Delta)")
-            if not 0 <= form.n <= vd // 2:
-                raise InvalidParams("index out of the class range")
-            pin = pi_pow(ring, form.n)
-            out = Mat2(ring, [[a / two, pin], [delta / pin, a / two]])
-        elif isinstance(form, Case22Extra):
-            if vd % 2 == 1 or not 1 <= form.i <= e:
-                raise InvalidParams("extra family needs even v(Delta) and 1 <= i <= v(2)")
-            if ring.val(delta - form.r * form.r) < vd + 2 * form.i:
-                raise InvalidParams("need v(Delta - r^2) >= v(Delta) + 2i")
-            k = vd // 2 + form.i
-            pik = pi_pow(ring, k)
-            out = Mat2(
-                ring,
-                [[a / two - form.r, pik], [(delta - form.r * form.r) / pik, a / two + form.r]],
-            )
-        else:
-            raise TypeError(f"not a canonical form: {form!r}")
-    if out.char_poly() != f:
-        raise InvalidParams("parameters are inconsistent with f")
-    return out
+        n = form.k if isinstance(form, Unit2) else form.n
+        if not 0 <= 2 * n <= vd:
+            raise InvalidParams("need 0 <= 2n <= v(Delta)")
+        g1, c = pi_pow(ring, n), -f.a / ring.from_int(2)
+    return _theta_matrix(ring, f, g1, c)
 
 
 def class_list(ring, f: MonicPoly, insep_bound: int | None = None):
@@ -635,32 +621,23 @@ def class_list(ring, f: MonicPoly, insep_bound: int | None = None):
             return forms
         d = ring.val(lam1 - lam2)
         return [Reducible(f, lam1, lam2, pi_pow(ring, i)) for i in range(d + 1)]
-    e = ring.val_of_two()
-    a, b = f.a, f.b
-    if e == 0:
-        vd = ring.val(a * a / ring.from_int(4) + b)
-        return [Unit2(f, k) for k in range(vd // 2 + 1)]
-    if e is INF:
-        if a:
-            m, r = compute_m(ring, f, "char2sep")
-            return [Char2Sep(f, r, i) for i in range(m + 1)]
+    name, _, vd = _branch(ring, f)
+    if name == "insep":
         if insep_bound is None:
             raise InsepBoundRequired("inseparable family needs an index bound")
         out = []
         for i in range(insep_bound + 1):
-            params = _insep_params(ring, b, i)
+            params = _insep_params(ring, f.b, i)
             if params is not None:
                 out.append(Insep(f, i, params[0], params[1]))
         return out
-    if ring.val(a) < e:
-        m, r = compute_m(ring, f, "case1")
-        return [Case1(f, r, i) for i in range(m + 1)]
-    vd = ring.val(a * a / ring.from_int(4) + b)
-    if vd % 2 == 1:
-        return [Case21(f, n) for n in range(vd // 2 + 1)]
-    m, r = compute_m(ring, f, "case22")
-    out = [Case22Main(f, n) for n in range(vd // 2 + 1)]
-    out += [Case22Extra(f, r, i) for i in range(1, m + 1)]
+    if name in _SEP_FORMS:
+        m, r = compute_m(ring, f, name)
+        return [_SEP_FORMS[name](f, r, i) for i in range(m + 1)]
+    out = [_MAIN_FORMS[name](f, n) for n in range(vd // 2 + 1)]
+    if name == "case22":
+        m, r = compute_m(ring, f, name)
+        out += [Case22Extra(f, r, i) for i in range(1, m + 1)]
     return out
 
 
@@ -669,20 +646,14 @@ def class_number(ring, f: MonicPoly, insep_bound: int = 10):
     fact = quad_factor(f, ring)
     if fact.reducible:
         raise ReduciblePoly("class_number expects an irreducible quadratic")
-    e = ring.val_of_two()
-    a, b = f.a, f.b
-    if e == 0:
-        return ring.val(a * a / ring.from_int(4) + b) // 2 + 1
-    if e is INF:
-        if a:
-            return compute_m(ring, f, "char2sep")[0] + 1
+    name, _, vd = _branch(ring, f)
+    if name == "insep":
         return LowerBound(len(class_list(ring, f, insep_bound)))
-    if ring.val(a) < e:
-        return compute_m(ring, f, "case1")[0] + 1
-    vd = ring.val(a * a / ring.from_int(4) + b)
-    if vd % 2 == 1:
-        return vd // 2 + 1
-    return vd // 2 + compute_m(ring, f, "case22")[0] + 1
+    if name in _SEP_FORMS:
+        return compute_m(ring, f, name)[0] + 1
+    if name == "case22":
+        return vd // 2 + compute_m(ring, f, name)[0] + 1
+    return vd // 2 + 1
 
 
 def ideal_reps(ring, f: MonicPoly, insep_bound: int | None = None):
@@ -694,30 +665,8 @@ def ideal_reps(ring, f: MonicPoly, insep_bound: int | None = None):
     forms = class_list(ring, f, insep_bound)
     if forms and isinstance(forms[0], Reducible):
         raise ReduciblePoly("ideal_reps expects an irreducible quadratic")
-    a = f.a
-    two = ring.from_int(2)
     out = []
     for form in forms:
-        if isinstance(form, Unit2):
-            pair = (pi_pow(ring, form.k), -a / two)
-        elif isinstance(form, (Case21, Case22Main)):
-            pair = (pi_pow(ring, form.n), -a / two)
-        elif isinstance(form, Case22Extra):
-            vd = ring.val(a * a / ring.from_int(4) + f.b)
-            pair = (pi_pow(ring, vd // 2 + form.i), form.r - a / two)
-        elif isinstance(form, (Case1, Char2Sep)):
-            pair = (pi_pow(ring, form.i), form.r)
-        else:
-            pair = (form.s, form.u)
-        g1, c = pair
-        _assert_ideal_pair(ring, f, g1, c)
-        out.append(((g1, ring.zero), (c, ring.one)))
+        C = canonical_matrix(form)
+        out.append(((C[0][1], ring.zero), (-C[0][0], ring.one)))
     return out
-
-
-def _assert_ideal_pair(ring, f, g1, c):
-    # theta*(c + theta) = b + (a + c)*theta must lie back in the span
-    a, b = f.a, f.b
-    x = b - c * (a + c)
-    assert ring.val(x) >= ring.val(g1), "pair does not span an ideal"
-    assert ring.val(g1) >= 0 and ring.val(c) >= 0

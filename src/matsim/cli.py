@@ -8,6 +8,7 @@ codes; only operational failures do:
     exit 0  success (including "similar": false)
     exit 2  malformed input (JSON, ring descriptor, element syntax)
     exit 3  precondition violation reported by the library
+    exit 4  internal invariant violated (a library defect; please report)
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .classify import (
     to_canonical,
     witness,
 )
-from .errors import MatsimError
+from .errors import InvariantViolation, MatsimError
 from .oracle import DEFAULT_BUDGET, conj_search_mod
 from .polys import parse_monic
 from .rings import ring_from_json
@@ -94,6 +95,14 @@ def _parse_elem(ring, x):
     raise InputError(f"matrix entries must be strings or integers, got {x!r}")
 
 
+def _oracle_level(doc):
+    """The oracle level N of a payload: a JSON integer >= 1, 3 when absent."""
+    N = doc.get("N", 3)
+    if type(N) is not int or N < 1:
+        raise InputError(f"N must be an integer >= 1, got {json.dumps(N)}")
+    return N
+
+
 def _parse_poly(ring, doc):
     try:
         return parse_monic(doc["f"], ring)
@@ -140,11 +149,11 @@ def cmd_similar(args):
         "forms": forms,
     }
     if args.cross_check:
-        N = doc.get("N", 3)
+        N = _oracle_level(doc)
         found = conj_search_mod(ring, A, B, N, args.oracle_budget)
         result["oracle"] = {"N": N, "witness_mod": None if found is None else found.U.encode()}
         if found is None and result["similar"]:
-            raise AssertionError("oracle contradicts an exact similarity")
+            raise InvariantViolation("oracle contradicts an exact similarity")
     return result
 
 
@@ -248,7 +257,7 @@ def cmd_cross_check(args):
     doc = _load_json(args.payload, "--in")
     A = _parse_matrix(ring, doc, "A")
     B = _parse_matrix(ring, doc, "B")
-    N = int(doc.get("N", 3))
+    N = _oracle_level(doc)
     found = conj_search_mod(ring, A, B, N, args.oracle_budget)
     return {
         "N": N,
@@ -294,6 +303,9 @@ def main(argv=None):
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except InvariantViolation as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 4
     except MatsimError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 3

@@ -63,3 +63,7 @@ class InvalidParams(MatsimError):
 
 class ReduciblePoly(MatsimError, ValueError):
     """An operation defined for irreducible f was given a reducible one."""
+
+
+class InvariantViolation(MatsimError):
+    """An internal consistency check failed: a defect of the library, not of the input."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .classify import Mat2
+from .classify import Mat2, pi_pow
 from .classify import similar as dvr_similar
 from .errors import (
     CharPolyMismatch,
@@ -173,17 +173,8 @@ def _row_times_mat(ring, row, A):
 def _clear_scalar(ring, vecs):
     """Nonzero a in R making a*v integral for every coordinate."""
     if _is_dvr(ring):
-        worst = 0
-        for v in vecs:
-            for c in v:
-                val = ring.val(c)
-                if val < 0 and -val > worst:
-                    worst = int(-val)
-        out = ring.one
-        pi = ring.uniformizer()
-        for _ in range(worst):
-            out = out * pi
-        return out
+        worst = max((-ring.val(c) for v in vecs for c in v), default=0)
+        return pi_pow(ring, int(max(worst, 0)))
     den = 1
     for v in vecs:
         for c in v:

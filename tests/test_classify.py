@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from matsim.classify import (
+    Char2Sep,
     Case22Extra,
     Case22Main,
     Insep,
@@ -22,7 +23,8 @@ from matsim.classify import (
     witness,
 )
 from matsim.errors import InsepBoundRequired, InvalidParams, NotIntegral
-from matsim.polys import MonicPoly, quad_factor
+from matsim.oracle import conj_search_mod
+from matsim.polys import MonicPoly, parse_monic, quad_factor
 from matsim.rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
 from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat
@@ -33,6 +35,10 @@ Z5 = ZLoc(5)
 F2 = FpTLoc(2)
 UNRAM = QuadExt(Z2, 1, 1, "unramified")
 EISEN = QuadExt(Z2, 0, 2, "eisenstein")
+EISEN_F2 = QuadExt(F2, 0, F2.uniformizer(), "eisenstein")
+# every branch, plus a characteristic-2 ring whose v(2) is not the INF object
+RINGS = all_instances() + [EISEN_F2]
+RING_IDS = instance_ids() + ["EisenF2"]
 
 
 def mat(ring, rows):
@@ -289,7 +295,7 @@ class TestIdealReps:
 # randomized properties (smaller mirrors of the acceptance suites)
 
 
-@pytest.mark.parametrize("ring", all_instances(), ids=instance_ids())
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_round_trip_classify_canonical(ring, rng):
     for _ in range(8):
         a, b = rand_integral(ring, rng), rand_integral(ring, rng)
@@ -298,7 +304,7 @@ def test_round_trip_classify_canonical(ring, rng):
             assert classify(ring, canonical_matrix(form)) == form
 
 
-@pytest.mark.parametrize("ring", all_instances(), ids=instance_ids())
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_conjugation_invariance_and_witness(ring, rng):
     for _ in range(15):
         A = rand_mat(ring, rng)
@@ -318,7 +324,7 @@ def test_transpose_similarity(ring, rng):
         assert w is not None and w.check(A, A.transpose())
 
 
-@pytest.mark.parametrize("ring", all_instances(), ids=instance_ids())
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_class_number_matches_list_length(ring, rng):
     for _ in range(10):
         a, b = rand_integral(ring, rng), rand_integral(ring, rng)
@@ -355,6 +361,34 @@ def test_char2_extension_classify():
     A = Mat2(S, [[S.zero, S.embed(F2.parse("t"))], [S.embed(F2.parse("t^2")), S.zero]])
     form = classify(S, A)
     assert isinstance(form, Reducible)
+
+
+class TestEisensteinChar2:
+    """QuadExt(FpTLoc(2), x^2 - t, eisenstein) has characteristic 2, with w^2 = t."""
+
+    def labels(self, f, bound=4):
+        return [fo.label() for fo in class_list(EISEN_F2, parse_monic(f, EISEN_F2), bound)]
+
+    def test_insep(self):
+        f = parse_monic("x^2 - t*w", EISEN_F2)
+        assert self.labels("x^2 - t*w") == ["Insep{i=0,u=0,s=t*w}", "Insep{i=1,u=0,s=t}"]
+        assert class_number(EISEN_F2, f, insep_bound=4) == LowerBound(2)
+
+    def test_char2sep(self):
+        assert self.labels("x^2 - x - t*w") == ["Char2Sep{r=0,i=0}"]
+        assert self.labels("x^2 - w*x - t") == ["Char2Sep{r=0,i=0}", "Char2Sep{r=0,i=1}"]
+        for f, n in (("x^2 - x - t*w", 1), ("x^2 - w*x - t", 2)):
+            assert class_number(EISEN_F2, parse_monic(f, EISEN_F2)) == n
+        A = mat(EISEN_F2, [[0, 1], [EISEN_F2.parse("t"), EISEN_F2.gen()]])
+        assert isinstance(classify(EISEN_F2, A), Char2Sep)
+
+    def test_listed_forms_differ_mod_pi3(self):
+        # independent of the classification: no GL2 witness even mod pi^3
+        for f in ("x^2 - t*w", "x^2 - w*x - t"):
+            mats = [canonical_matrix(fo) for fo in class_list(EISEN_F2, parse_monic(f, EISEN_F2), 4)]
+            for i, A in enumerate(mats):
+                for B in mats[i + 1:]:
+                    assert conj_search_mod(EISEN_F2, A, B, 3) is None
 
 
 class TestDeepBranches:

@@ -247,3 +247,26 @@ def test_class_number_reducible_exits_3(capsys):
 def test_malformed_input_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error:")
+
+
+SIMILAR_PAIR = {"A": [["0", "1"], ["5", "0"]], "B": [["1", "1"], ["4", "-1"]]}
+
+
+@pytest.mark.parametrize("command", ["similar", "cross-check"])
+@pytest.mark.parametrize("N", ["3", "x", 2.5, None, True, 0, -1], ids=repr)
+def test_oracle_level_must_be_positive_int(capsys, command, N):
+    # a string, float, null or bool N used to raise TypeError (exit 1) or be
+    # truncated (2.5 ran N = 2)
+    payload = json.dumps({**SIMILAR_PAIR, "N": N})
+    code, out, err = run(capsys, command, "--ring", Z2, "--cross-check", "--in", payload)
+    assert code == 2 and out == "" and err.startswith("error: N must be")
+
+
+def test_oracle_contradiction_exits_4(capsys, monkeypatch):
+    from matsim import cli
+
+    monkeypatch.setattr(cli, "conj_search_mod", lambda *args: None)
+    payload = json.dumps({**SIMILAR_PAIR, "N": 2})
+    code, out, err = run(capsys, "similar", "--ring", Z2, "--cross-check", "--in", payload)
+    assert code == 4 and out == ""
+    assert err == "error: InvariantViolation: oracle contradicts an exact similarity\n"
