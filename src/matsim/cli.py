@@ -29,7 +29,6 @@ from .classify import (
     class_list,
     class_number,
     classify,
-    ideal_reps,
     to_canonical,
     witness,
 )
@@ -173,18 +172,14 @@ def cmd_class_list(args):
     ring = _ring(args)
     doc = _load_json(args.payload, "--in")
     f = _parse_poly(ring, doc)
-    forms = class_list(ring, f, args.insep_bound)
     out = []
-    reducible = forms and isinstance(forms[0], Reducible)
-    reps = None if reducible else ideal_reps(ring, f, args.insep_bound)
-    for i, fo in enumerate(forms):
-        entry = {
-            "form": fo.label(),
-            "matrix": canonical_matrix(fo).encode(),
-        }
-        if reps is not None:
-            (g1, z), (c, o) = reps[i]
-            entry["ideal"] = [[ring.encode(g1), ring.encode(z)], [ring.encode(c), ring.encode(o)]]
+    for fo in class_list(ring, f, args.insep_bound):
+        C = canonical_matrix(fo)
+        entry = {"form": fo.label(), "matrix": C.encode()}
+        if not isinstance(fo, Reducible):
+            # the ideal R*g1 + R*(c + theta) of classify.ideal_reps, read off C
+            pair = ((C[0][1], ring.zero), (-C[0][0], ring.one))
+            entry["ideal"] = [[ring.encode(x) for x in u] for u in pair]
         out.append(entry)
     return {"classes": out, "count": len(out)}
 

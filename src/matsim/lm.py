@@ -7,10 +7,11 @@ the returned basis u always satisfies the exact identity
 
     theta * (u_1, ..., u_n) = (u_1, ..., u_n) * A,
 
-multiplication by theta acting on row vectors of coordinates.  Equivalence
-of ideals is decided where an exact procedure exists: imaginary quadratic
-orders over Z (binary-form reduction) and the DVR instances (delegation to
-the conjugacy classifier).
+multiplication by theta acting on row vectors of coordinates.  Both
+directions check det(xI - A) = f by Hessenberg reduction over K, O(n^3)
+(polys.char_poly_n).  Equivalence of ideals is decided where an exact
+procedure exists: imaginary quadratic orders over Z (binary-form
+reduction) and the DVR instances (delegation to the conjugacy classifier).
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from .classify import similar as dvr_similar
 from .errors import (
     CharPolyMismatch,
     IndefiniteForm,
+    InvariantViolation,
     NotAnIdeal,
     NotImaginaryQuadratic,
     NotSeparable,
     UnsupportedRing,
 )
 from .intlin import field_solve
-from .polys import MonicPoly, is_separable
+from .polys import MonicPoly, char_poly_n, is_separable, mul_mod, poly_gcd
 from .rings import QQ, ExtElem, FpTLoc, QuadAlgebra, QuadExt, Rationals, ZLoc
 
 _KRYLOV_SEED = 20240817
@@ -65,33 +67,8 @@ def _is_dvr(ring):
     return isinstance(ring, (ZLoc, FpTLoc, QuadExt))
 
 
-# ---------------------------------------------------------------------------
-# K[x]/(f) arithmetic on coordinate vectors over the power basis
-
-
-def _pmul_mod(ring, f: MonicPoly, u, v):
-    n = f.degree
-    prod = [ring.zero] * (2 * n - 1)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            prod[i + j] = prod[i + j] + a * b
-    for k in range(2 * n - 2, n - 1, -1):
-        c = prod[k]
-        if not c:
-            continue
-        prod[k] = ring.zero
-        for i in range(n):
-            prod[k - n + i] = prod[k - n + i] + c * f.coeffs[i] * (-1)
-    return tuple(prod[:n])
-
-
-def _theta_times(ring, f: MonicPoly, u):
-    n = f.degree
-    # theta in the power basis: x, or -c0 when f = x + c0
-    theta = (ring.zero, ring.one) + (ring.zero,) * (n - 2) if n >= 2 else (-f.coeffs[0],)
-    return _pmul_mod(ring, f, u, theta)
+def _theta_times(f: MonicPoly, u):
+    return mul_mod(f, u, (f.ring.zero, f.ring.one))
 
 
 @dataclass(frozen=True)
@@ -123,46 +100,6 @@ def companion(f: MonicPoly):
         # paper indexing a_k = coeff of x^(n-k); last column holds -a_(n-i)
         rows[i][n - 1] = -f.coeffs[i]
     return rows
-
-
-def char_poly_n(ring, M):
-    """det(xI - M) as a MonicPoly, by exact cofactor expansion."""
-    n = len(M)
-    entries = [
-        [(-M[i][j], ring.one) if i == j else (-M[i][j],) for j in range(n)]
-        for i in range(n)
-    ]
-    coeffs = _poly_det(ring, entries)
-    return MonicPoly(ring, list(coeffs))
-
-
-def _poly_det(ring, m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for j in range(n):
-        minor = [[m[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = _ppmul(ring, m[0][j], _poly_det(ring, minor))
-        if j % 2 == 1:
-            term = tuple(-c for c in term)
-        acc = term if acc is None else _ppadd(ring, acc, term)
-    return acc
-
-
-def _ppadd(ring, a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (ring.zero,) * (n - len(a))
-    b = tuple(b) + (ring.zero,) * (n - len(b))
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _ppmul(ring, a, b):
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return tuple(out)
 
 
 def _row_times_mat(ring, row, A):
@@ -237,7 +174,7 @@ def _krylov_conjugator(ring, f, A):
         if best is not None:
             return best[1]
         candidates = [[ring.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(4)]
-    raise AssertionError("no cyclic vector found (should be impossible)")
+    raise InvariantViolation("no cyclic vector found (should be impossible)")
 
 
 def _det_size(ring, d):
@@ -253,11 +190,12 @@ def _verify_star(J: IdealBasis, A):
     f = J.f
     n = f.degree
     for j in range(n):
-        lhs = _theta_times(ring, f, J.basis[j])
+        lhs = _theta_times(f, J.basis[j])
         rhs = tuple(
             sum((J.basis[k][i] * A[k][j] for k in range(n)), ring.zero) for i in range(n)
         )
-        assert lhs == rhs, "identity theta*(u) = (u)*A failed"
+        if lhs != rhs:
+            raise InvariantViolation("identity theta*(u) = (u)*A failed")
 
 
 def ideal_to_matrix(f: MonicPoly, J: IdealBasis):
@@ -266,7 +204,7 @@ def ideal_to_matrix(f: MonicPoly, J: IdealBasis):
     n = f.degree
     # column j of A solves (basis coordinates)^T * A[.][j] = theta * u_j
     Mt = [[u[i] for u in J.basis] for i in range(n)]
-    det, cols = field_solve(Mt, [_theta_times(ring, f, u) for u in J.basis])
+    det, cols = field_solve(Mt, [_theta_times(f, u) for u in J.basis])
     if not det:
         raise NotAnIdeal("basis is not K-linearly independent")
     A = [[cols[j][k] for j in range(n)] for k in range(n)]
@@ -282,8 +220,6 @@ def ideal_to_matrix(f: MonicPoly, J: IdealBasis):
 def is_non_zero_divisor(f: MonicPoly, alpha, ring=None) -> bool:
     """True iff alpha is invertible in K[x]/(f) (gcd test; needs (f,f')=1)."""
     ring = ring or f.ring
-    from .polys import poly_gcd
-
     alpha = [ring.coerce(c) for c in alpha]
     if not any(alpha):
         return False
@@ -372,7 +308,7 @@ def scale_ideal(J: IdealBasis, alpha) -> IdealBasis:
     """alpha * J for alpha given in power-basis coordinates."""
     ring = J.ring
     alpha = tuple(ring.coerce(c) for c in alpha)
-    basis = tuple(_pmul_mod(ring, J.f, u, alpha) for u in J.basis)
+    basis = tuple(mul_mod(J.f, u, alpha) for u in J.basis)
     return IdealBasis(J.f, ring, basis)
 
 

@@ -1,4 +1,4 @@
-"""Monic polynomial arithmetic and quadratic factoring over each instance.
+"""Polynomial arithmetic over K, characteristic polynomials and quadratic factoring.
 
 The factoring decisions the classification depends on:
 
@@ -12,7 +12,7 @@ The factoring decisions the classification depends on:
   decisions through the norm form (see _ext_sqrt / _ext_artin_schreier).
 
 Roots of a monic quadratic over K are integral (R is integrally closed),
-which is asserted on every reducible outcome.
+which is checked on every reducible outcome.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CharTwo, NotIntegral, UnsupportedRing
+from .errors import CharTwo, InvariantViolation, NotIntegral, UnsupportedRing
 from .fppoly import FpPoly, FpRat
 from .rings import ExtElem, FpTLoc, QuadExt, ZLoc, _collect, _terms
 
@@ -52,12 +52,14 @@ class MonicPoly:
     @property
     def a(self):
         """For quadratics x^2 - a*x - b."""
-        assert self.degree == 2
+        if self.degree != 2:
+            raise ValueError(f"a is defined for quadratics, got degree {self.degree}")
         return -self.coeffs[1]
 
     @property
     def b(self):
-        assert self.degree == 2
+        if self.degree != 2:
+            raise ValueError(f"b is defined for quadratics, got degree {self.degree}")
         return -self.coeffs[0]
 
     def is_over_R(self):
@@ -140,12 +142,10 @@ def _strip(coeffs):
 def poly_divmod(num, den, ring):
     """Division of coefficient lists over the fraction field."""
     num = list(num)
-    dd = len(_strip(den)) - 1
     den = _strip(den)
+    dd = len(den) - 1
     if dd < 0:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(_strip(num)) - 1 < dd:
-        return [], num
     quot = [ring.zero] * (len(num) - dd)
     lead = den[-1]
     for k in range(len(num) - dd - 1, -1, -1):
@@ -155,6 +155,24 @@ def poly_divmod(num, den, ring):
             for j, b in enumerate(den):
                 num[k + j] = num[k + j] - c * b
     return quot, _strip(num)
+
+
+def poly_mul(a, b, ring):
+    """Product of two coefficient lists."""
+    out = [ring.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def mul_mod(f: MonicPoly, u, v):
+    """u*v mod f as a tuple of deg f coordinates over the power basis."""
+    ring = f.ring
+    _, r = poly_divmod(poly_mul(u, v, ring), f.coeffs, ring)
+    return tuple(r) + (ring.zero,) * (f.degree - len(r))
 
 
 def poly_gcd(a, b, ring):
@@ -176,6 +194,39 @@ def is_separable(f: MonicPoly, ring) -> bool:
         return False
     g = poly_gcd(list(f.coeffs), fp, ring)
     return len(g) == 1
+
+
+def char_poly_n(ring, M):
+    """det(xI - M) as a MonicPoly, in O(n^3) operations over K.
+
+    Hessenberg reduction by similarity, then the recurrence on the leading
+    principal minors of xI - H (Cohen, GTM 138, Algorithm 2.2.9).
+    """
+    n = len(M)
+    H = [[ring.coerce(x) for x in row] for row in M]
+    for m in range(1, n - 1):
+        k = next((k for k in range(m, n) if H[k][m - 1]), None)
+        if k is None:
+            continue
+        H[k], H[m] = H[m], H[k]
+        for row in H:
+            row[k], row[m] = row[m], row[k]
+        t = H[m][m - 1]
+        for i in range(m + 1, n):
+            u = H[i][m - 1] / t
+            H[i] = [x - u * y for x, y in zip(H[i], H[m])]
+            for row in H:
+                row[m] = row[m] + u * row[i]
+    p = [[ring.one]]
+    for m in range(n):
+        pm = poly_mul([-H[m][m], ring.one], p[m], ring)
+        t = ring.one
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i]
+            c = t * H[i][m]
+            pm[: i + 1] = [x - c * y for x, y in zip(pm, p[i])]
+        p.append(pm)
+    return MonicPoly(ring, p[n])
 
 
 def disc_quad(f: MonicPoly, ring):
@@ -342,7 +393,8 @@ def _as_solve_f2t(c: FpRat):
         return None
     u = FpPoly(2, sol)
     z = FpRat(u, v)
-    assert z * z + z == c
+    if z * z + z != c:
+        raise InvariantViolation("z^2 + z = c failed for the GF(2)-linear solution")
     return z
 
 
@@ -408,7 +460,7 @@ def quad_factor(f: MonicPoly, ring) -> QuadFactorization:
     """Decide reducibility of f = x^2 - a*x - b over K and return exact roots.
 
     Reducible output orders the roots with v(lam1) >= v(lam2) (ties broken
-    by the deterministic element order) and asserts both are integral.
+    by the deterministic element order) and checks that both are integral roots.
     """
     if f.degree != 2:
         raise ValueError("quad_factor expects a quadratic")
@@ -435,9 +487,8 @@ def quad_factor(f: MonicPoly, ring) -> QuadFactorization:
             r1, r2 = a * z, a * z + a
     lam1, lam2 = _order_roots(ring, r1, r2)
     for lam in (lam1, lam2):
-        if ring.val(lam) < 0:
-            raise AssertionError("monic quadratic produced a non-integral root")
-    assert f(lam1) == ring.zero and f(lam2) == ring.zero
+        if ring.val(lam) < 0 or f(lam) != ring.zero:
+            raise InvariantViolation("quad_factor produced a non-integral root or a non-root")
     return QuadFactorization(True, lam1, lam2)
 
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +134,16 @@ def qmat_mul(base, X, Y):
 
 def qmat_det(X):
     return X[0][0] * X[1][1] - X[0][1] * X[1][0]
+
+
+def run_optimized(source):
+    """Run Python source under ``python -O`` (asserts stripped) with src/ importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", source],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )

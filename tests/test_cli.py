@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -270,3 +271,22 @@ def test_oracle_contradiction_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "similar", "--ring", Z2, "--cross-check", "--in", payload)
     assert code == 4 and out == ""
     assert err == "error: InvariantViolation: oracle contradicts an exact similarity\n"
+
+
+def test_class_list_runs_the_residue_search_once(capsys, monkeypatch):
+    # the ideal pairs are read off the canonical matrices already built, so
+    # class_list (and its compute_m search) runs once per job; import_module
+    # because the package re-exports a function named classify
+    classify = importlib.import_module("matsim.classify")
+    calls = []
+    compute_m = classify.compute_m
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute_m(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "compute_m", counted)
+    payload = json.dumps({"f": "x^2 + t^3*x + t^2 + t^3"})
+    code, out, _ = run(capsys, "class-list", "--ring", '{"kind":"FpTLoc","p":2}', "--in", payload)
+    assert code == 0 and all("ideal" in c for c in json.loads(out)["classes"])
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,13 @@ from matsim.lm import (
     reduce_form,
     scale_ideal,
 )
-from matsim.polys import parse_monic
-from matsim.rings import ZLoc
+from matsim.polys import MonicPoly, parse_monic, poly_mul
+from matsim.rings import FpTLoc, QuadExt, ZLoc
+
+from conftest import SEED, all_instances, instance_ids, rand_integral, run_optimized
 
 X2P6 = parse_monic("x^2 + 6", ZZ)
+EISEN_F2 = QuadExt(FpTLoc(2), 0, FpTLoc(2).uniformizer(), "eisenstein")
 
 
 def F(a, b, c):
@@ -205,3 +209,79 @@ def test_field_solve_is_one_elimination_for_det_and_solve():
     for sol, rhs in ((x, (4, 5)), (y, (0, 1))):
         assert [M[i][0] * sol[0] + M[i][1] * sol[1] for i in range(2)] == list(rhs)
     assert field_solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [[1, 1]]) == (0, None)
+
+
+def _matmul(ring, A, B):
+    n = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(n)), ring.zero) for j in range(n)] for i in range(n)]
+
+
+def _conjugate(ring, M, rng, draw, steps):
+    """U*M*U^-1 for U a product of `steps` elementary matrices I + c*E_ij, c = draw()."""
+    n = len(M)
+    U = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    Ui = [row[:] for row in U]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = draw()
+        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+        for row in Ui:
+            row[j] = row[j] - c * row[i]
+    return _matmul(ring, _matmul(ring, U, M), Ui)
+
+
+class TestCharPoly:
+    def test_matches_sympy_charpoly(self, rng):
+        sympy = pytest.importorskip("sympy")
+        for n in range(1, 13):
+            for _ in range(2):
+                M = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(n)]
+                expected = [int(c) for c in reversed(sympy.Matrix(M).charpoly().all_coeffs())]
+                assert list(char_poly_n(ZZ, M).coeffs) == expected
+
+    @pytest.mark.parametrize(
+        "ring", all_instances() + [EISEN_F2], ids=instance_ids() + ["EisenF2"]
+    )
+    def test_conjugated_companion(self, ring, rng):
+        def draw():
+            return rand_integral(ring, rng, 3)
+
+        for n in range(1, 6):
+            f = MonicPoly(ring, [draw() for _ in range(n)] + [ring.one])
+            M = _conjugate(ring, companion(f), rng, draw, 2 * (n - 1))
+            assert char_poly_n(ring, M) == f
+        f2 = MonicPoly(ring, [draw(), draw(), ring.one])
+        f3 = MonicPoly(ring, [draw(), draw(), draw(), ring.one])
+        # swap: exchanging indices 1 and 2 of a companion (U a permutation)
+        # leaves the subdiagonal entry (1, 0) zero above the nonzero (2, 0)
+        C = companion(f3)
+        P = [[C[i][j] for j in (0, 2, 1)] for i in (0, 2, 1)]
+        assert not P[1][0] and P[2][0]
+        assert char_poly_n(ring, P) == f3
+        # skip: a block diagonal matrix has no pivot below the subdiagonal in
+        # column 1; its char poly is the product of the blocks' ones
+        Z = ring.zero
+        B = [row + [Z] * 3 for row in companion(f2)] + [[Z] * 2 + row for row in C]
+        assert not any(B[i][1] for i in range(2, 5))
+        assert char_poly_n(ring, B) == MonicPoly(ring, poly_mul(f2.coeffs, f3.coeffs, ring))
+
+    def test_degree_12_round_trip(self):
+        rng = random.Random(SEED)
+        f = parse_monic("x^12 - x - 1", ZZ)
+        A = _conjugate(ZZ, companion(f), rng, lambda: ZZ.from_int(rng.choice((-2, -1, 1, 2))), 24)
+        assert ideal_to_matrix(f, matrix_to_ideal(f, A)) == A
+
+
+def test_star_identity_is_checked_under_python_O():
+    # a wrong theta*u must raise even when asserts are compiled away
+    proc = run_optimized(
+        "from matsim import lm\n"
+        "from matsim.errors import InvariantViolation\n"
+        "from matsim.polys import parse_monic\n"
+        "lm._theta_times = lambda *args: tuple(c + 1 for c in args[-1])\n"
+        "try:\n"
+        "    lm.matrix_to_ideal(parse_monic('x^2 + 6', lm.ZZ), [[0, 1], [-6, 0]])\n"
+        "except InvariantViolation:\n"
+        "    print('caught', __debug__)\n"
+    )
+    assert proc.stdout == "caught False\n", proc.stderr

@@ -16,7 +16,7 @@ from matsim.polys import (
 )
 from matsim.rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
-from conftest import all_instances, instance_ids, rand_integral
+from conftest import all_instances, instance_ids, rand_integral, run_optimized
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
@@ -196,3 +196,17 @@ class TestParsing:
                 a, b = rand_integral(ring, rng), rand_integral(ring, rng)
                 f = MonicPoly.quadratic(ring, a, b)
                 assert parse_monic(f.encode(), ring) == f
+
+
+def test_quadratic_accessors_reject_a_cubic_under_python_O():
+    proc = run_optimized(
+        "from matsim.polys import parse_monic\n"
+        "from matsim.rings import ZLoc\n"
+        "f = parse_monic('x^3 - 2', ZLoc(3))\n"
+        "for name in ('a', 'b'):\n"
+        "    try:\n"
+        "        getattr(f, name)\n"
+        "    except ValueError:\n"
+        "        print(name, __debug__)\n"
+    )
+    assert proc.stdout == "a False\nb False\n", proc.stderr
