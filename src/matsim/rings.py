@@ -211,11 +211,8 @@ class FpTLoc:
             raise ValueError("N must be >= 1")
         if not self.is_integral(x):
             raise NotIntegral(f"{x!r} is not in {self!r}")
-        tN = FpPoly.t_power(self.p, N)
-        num = x.num % tN
-        # invert the denominator mod t^N (den(0) != 0 since x is integral)
-        inv = _poly_inverse_mod_t_power(x.den, N)
-        return (num * inv) % tN
+        # den(0) != 0 since x is integral
+        return (x.num.truncate(N) * x.den.inverse_mod_t_power(N)).truncate(N)
 
     def lift(self, rep):
         return FpRat(rep)
@@ -247,21 +244,6 @@ class FpTLoc:
 
     def to_json(self):
         return {"kind": "FpTLoc", "p": self.p}
-
-
-def _poly_inverse_mod_t_power(den, N):
-    """Inverse of den modulo t^N; den(0) must be a unit."""
-    p = den.p
-    c0 = den.eval_at_zero()
-    inv = [pow(c0, -1, p)]
-    # Newton-free coefficient recursion: sum_{j<=i} den_j * inv_{i-j} = [i == 0]
-    dc = den.coeffs
-    for i in range(1, N):
-        acc = 0
-        for j in range(1, min(i, len(dc) - 1) + 1):
-            acc += dc[j] * inv[i - j]
-        inv.append((-acc * inv[0]) % p)
-    return FpPoly(p, inv)
 
 
 # ---------------------------------------------------------------------------
