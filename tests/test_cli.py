@@ -234,6 +234,16 @@ def test_class_number_reducible_exits_3(capsys):
     code, _, err = run(capsys, "class-number", "--ring", Z2, "--in", '{"f": "x^2 - 1"}')
     assert code == 3 and "ReduciblePoly" in err
 
+
+@pytest.mark.parametrize("base, var", [('{"kind":"ZLoc","p":2}', "p"), ('{"kind":"FpTLoc","p":3}', "t")])
+def test_unramified_reducible_reduction_message(capsys, base, var):
+    # x^2 - 1 has the root 1 modulo the base uniformizer
+    ring = f'{{"kind":"QuadExt","base":{base},"minpoly":"x^2 - 1","ramification":"unramified"}}'
+    code, out, err = run(capsys, "classify", "--ring", ring, "--in", '{"matrix": [["1","0"],["0","1"]]}')
+    assert (code, out) == (2, "")
+    assert err == f"error: bad ring descriptor: reduction mod {var} is not irreducible\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
