@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsepBoundRequired, InvalidParams, NotIntegral, ReduciblePoly
+from .errors import InsepBoundRequired, InvalidParams, InvariantViolation, NotIntegral, ReduciblePoly
 from .polys import MonicPoly, disc_quad, quad_factor
 from .rings import INF
 
@@ -555,7 +555,8 @@ def witness(ring, A: Mat2, B: Mat2):
         return None
     U = ub.inv() @ ua
     w = GL2Witness(U)
-    assert w.check(A, B), "witness verification is a hard invariant"
+    if not w.check(A, B):
+        raise InvariantViolation("the witness fails U*A = B*U")
     return w
 
 

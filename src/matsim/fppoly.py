@@ -380,12 +380,22 @@ class FpPoly:
 
 
 def _sqrt_mod_p(a, p):
-    """Square root of a modulo a small prime p, or None."""
+    """The smaller square root r <= p - r of a modulo a prime p, or None
+    (Euler's criterion, then Tonelli-Shanks)."""
     a %= p
-    for x in range((p + 1) // 2 + 1):
-        if (x * x) % p == a:
-            return x
-    return None
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s, q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # r^2 = a*t, and t has order 2^i with 0 < i < s
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 class FpRat:

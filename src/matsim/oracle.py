@@ -21,21 +21,15 @@ import operator
 from dataclasses import dataclass
 
 from .classify import Mat2, pi_pow
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 from .intlin import smith_normal_form
-from .rings import ExtElem, FpTLoc, QuadExt, ZLoc
+from .rings import QuadExt
 
 DEFAULT_BUDGET = 10**7
 
 
 def quotient_size(ring, N: int) -> int:
-    if isinstance(ring, (ZLoc, FpTLoc)):
-        return ring.p ** N
-    if isinstance(ring, QuadExt):
-        if ring.ramification == "unramified":
-            return ring.base.p ** (2 * N)
-        return ring.base.p ** N
-    raise TypeError(f"not a DVR instance: {ring!r}")
+    return ring.p ** sum(ring.levels(N))
 
 
 def enumerate_quotient(ring, N: int, budget: int = DEFAULT_BUDGET):
@@ -82,7 +76,8 @@ def conj_search_mod(ring, A: Mat2, B: Mat2, N: int, budget: int = DEFAULT_BUDGET
     for U in candidates:
         if ring.val(U.det()) != 0:
             continue
-        assert mat_congruent_mod(ring, U @ A, B @ U, N)
+        if not mat_congruent_mod(ring, U @ A, B @ U, N):
+            raise InvariantViolation("a kernel solution fails U*A = B*U mod pi^N")
         key = tuple(ring.sort_key(U[i][j]) for i in range(2) for j in range(2))
         hits.append((key, U))
     if not hits:
@@ -123,20 +118,19 @@ def _solve_congruence(ring, A, B, N, budget):
 
     The unknowns are the base coordinates of the four entries of X in the
     basis (1) of a base ring or (1, w) of an extension, and coordinate k
-    matters modulo pi_base^levels[k] only.  Multiplication by c acts on the
-    coordinates of one entry by the block whose column g holds the
-    coordinates of c*g.  Solutions are reduced coordinate by coordinate
-    modulo their levels, deduplicated, then lifted.
+    matters modulo pi_base^levels[k] only (``ring.levels(N)``).
+    Multiplication by c acts on the coordinates of one entry by the block
+    whose column g holds the coordinates of c*g.  Solutions are reduced
+    coordinate by coordinate modulo their levels, deduplicated, then lifted.
     """
+    levels = ring.levels(N)
     if isinstance(ring, QuadExt):
-        base, basis = ring.base, (ring.one, ring.gen())
-        eisen = ring.ramification == "eisenstein"
-        levels = ((N + 1) // 2, N // 2) if eisen else (N, N)
-        coords, elem = (lambda c: (c.x, c.y)), (lambda x, y: ExtElem(ring, x, y))
+        base, basis, lift = ring.base, (ring.one, ring.gen()), ring.lift
+        coords = lambda c: (c.x, c.y)
     else:
-        base, basis, levels = ring, (ring.one,), (N,)
-        coords, elem = (lambda c: (c,)), (lambda x: x)
-    d, H = len(basis), max(levels)
+        base, basis, lift = ring, (ring.one,), lambda code: ring.lift(code[0])
+        coords = lambda c: (c,)
+    d, H = len(levels), max(levels)
     pows = _pi_powers(base, H)
     zero = pows[0] - pows[0]
 
@@ -159,13 +153,13 @@ def _solve_congruence(ring, A, B, N, budget):
                 e = e - bB[i][r][g][k]
             row.append(pows[H - levels[k]] * e)
         rows.append(row)
-    mods = [pows[levels[k]] for k in range(d)] * 4
+    mods = [pows[n] for n in levels] * 4
     reduced = dict.fromkeys(
         tuple(map(operator.mod, x, mods)) for x in _kernel_mod(base, rows, pows, budget)
     )
     out = []
     for x in reduced:
-        entries = [elem(*map(base.lift, x[s : s + d])) for s in range(0, 4 * d, d)]
+        entries = [lift(x[s : s + d]) for s in range(0, 4 * d, d)]
         # lifts of residues: integral by construction
         out.append(Mat2(ring, [entries[:2], entries[2:]], check_integral=False))
     return out
@@ -184,7 +178,7 @@ def _kernel_mod(base, rows, pows, budget):
     """One x in each class mod pows[H] of solutions of rows * x = 0 mod pows[H].
 
     With U * rows * V = D, x = V * z where z_i runs over pi^(H - f_i) times
-    the residues mod pi^(f_i), f_i = min(v(D_ii), H).
+    the residues mod pi^(f_i) (``base.codes(f_i)``), f_i = min(v(D_ii), H).
     """
     H = len(pows) - 1
     D, _, V = smith_normal_form(rows)
@@ -197,8 +191,8 @@ def _kernel_mod(base, rows, pows, budget):
     steps = []
     for i, f in enumerate(free):
         if f:
-            col = [row[i] % pows[H] for row in V]
-            steps.append([[b * z for b in col] for z in _multiples(pows, H - f, f, base.p)])
+            col = [row[i] * pows[H - f] % pows[H] for row in V]
+            steps.append([[b * z for b in col] for z in base.codes(f)])
 
     def extend(i, x):
         if i == len(steps):
@@ -208,14 +202,6 @@ def _kernel_mod(base, rows, pows, budget):
             yield from extend(i + 1, [a + b for a, b in zip(x, step)])
 
     yield from extend(0, [pows[0] - pows[0]] * len(V))
-
-
-def _multiples(pows, lo, n, p):
-    """pows[lo] * k for every k mod pi^n, from the base-p digits of k."""
-    out = [pows[0] - pows[0]]
-    for e in range(lo, lo + n):
-        out = [z + digit * pows[e] for digit in range(p) for z in out]
-    return out
 
 
 # ---------------------------------------------------------------------------

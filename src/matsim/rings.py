@@ -26,6 +26,7 @@ v(x + y*w) = min(2*v(x), 2*v(y) + 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -91,6 +92,7 @@ class ZLoc(Rationals):
     """Z localized at the prime p.  K = Q, elements are Fractions."""
 
     kind = "ZLoc"
+    pi_name = "p"  # the uniformizer in messages
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -129,11 +131,18 @@ class ZLoc(Rationals):
     def val_of_two(self):
         return self.val(Fraction(2))
 
+    def levels(self, N):
+        return (N,)
+
+    def codes(self, n):
+        """The residues mod p^n as integers, in the deterministic order."""
+        return range(self.p**n)
+
     def residue(self, x, N):
         """Canonical representative of x in R/p^N, as an integer in [0, p^N)."""
         x = self.coerce(x)
-        if N < 1:
-            raise ValueError("N must be >= 1")
+        if N < 0:
+            raise ValueError("N must be >= 0")
         if not self.is_integral(x):
             raise NotIntegral(f"{x} is not in {self!r}")
         m = self.p**N
@@ -144,8 +153,7 @@ class ZLoc(Rationals):
 
     def residues(self, N):
         """Canonical lifts of R/p^N in the deterministic element order."""
-        for r in range(self.p**N):
-            yield Fraction(r)
+        return map(self.lift, self.codes(N))
 
     def parse(self, s):
         return _parse_rational(s)
@@ -158,6 +166,7 @@ class FpTLoc:
     """GF(p)[t] localized at (t).  K = GF(p)(t), elements are FpRat."""
 
     kind = "FpTLoc"
+    pi_name = "t"
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -204,11 +213,21 @@ class FpTLoc:
     def val_of_two(self):
         return self.val(self.from_int(2))
 
+    def levels(self, N):
+        return (N,)
+
+    def codes(self, n):
+        """The residues mod t^n: FpPolys of degree < n, in the deterministic
+        order (base-p digits of 0, 1, ..., p^n - 1, constant digit fastest)."""
+        p = self.p
+        for digits in itertools.product(range(p), repeat=n):
+            yield FpPoly(p, digits[::-1])
+
     def residue(self, x, N):
         """Canonical representative in R/t^N: an FpPoly of degree < N."""
         x = self.coerce(x)
-        if N < 1:
-            raise ValueError("N must be >= 1")
+        if N < 0:
+            raise ValueError("N must be >= 0")
         if not self.is_integral(x):
             raise NotIntegral(f"{x!r} is not in {self!r}")
         # den(0) != 0 since x is integral
@@ -218,14 +237,8 @@ class FpTLoc:
         return FpRat(rep)
 
     def residues(self, N):
-        p = self.p
-        for code in range(p**N):
-            coeffs = []
-            c = code
-            for _ in range(N):
-                coeffs.append(c % p)
-                c //= p
-            yield FpRat(FpPoly(p, coeffs))
+        """Canonical lifts of R/t^N in the deterministic element order."""
+        return map(self.lift, self.codes(N))
 
     def sort_key(self, x):
         x = self.coerce(x)
@@ -622,20 +635,13 @@ class QuadExt(QuadAlgebra):
             if not (base.val(a) >= 1 and base.val(b) == 1):
                 raise ValueError("Eisenstein requires v(a) >= 1 and v(b) = 1")
             return
-        # unramified: x^2 - a x - b must stay irreducible over the residue field
+        # unramified: x^2 - a x - b must have no root in the residue field
         if not (base.val(a) >= 0 and base.val(b) >= 0):
             raise ValueError("minimal polynomial must have integral coefficients")
-        abar = base.residue(a, 1)
-        bbar = base.residue(b, 1)
-        if isinstance(base, ZLoc):
-            p = base.p
-            if any((z * z - abar * z - bbar) % p == 0 for z in range(p)):
-                raise ValueError("reduction mod p is not irreducible")
-        else:
-            p = base.p
-            if any((z * z - abar.eval_at_zero() * z - bbar.eval_at_zero()) % p == 0
-                   for z in range(p)):
-                raise ValueError("reduction mod t is not irreducible")
+        abar, bbar = base.residue(a, 1), base.residue(b, 1)
+        pi = base.residue(base.uniformizer(), 2)
+        if any(not (z * (z - abar) - bbar) % pi for z in base.codes(1)):
+            raise ValueError(f"reduction mod {base.pi_name} is not irreducible")
 
     def _key(self):
         return super()._key() + (self.ramification,)
@@ -646,6 +652,14 @@ class QuadExt(QuadAlgebra):
     @property
     def p(self):
         return self.base.p
+
+    def levels(self, N):
+        """Base levels of (x, y) in R/pi^N: both N when unramified; for
+        Eisenstein (ceil(N/2), floor(N/2)), as (w^N) = pi^ceil(N/2) R +
+        pi^floor(N/2) R w."""
+        if self.ramification == "unramified":
+            return (N, N)
+        return ((N + 1) // 2, N // 2)
 
     def val(self, x):
         x = self.coerce(x)
@@ -666,45 +680,24 @@ class QuadExt(QuadAlgebra):
         return self.val(self.from_int(2))
 
     def residue(self, x, N):
-        """Canonical representative in R/pi^N as a pair of base residues.
-
-        Unramified: both coordinates mod (base uniformizer)^N.  Eisenstein:
-        (x mod pi_base^ceil(N/2), y mod pi_base^floor(N/2)), matching the
-        ideal (w^N) = pi^ceil(N/2) R + pi^floor(N/2) R w.
-        """
+        """Canonical representative in R/pi^N: the pair of base residues of
+        (x, y) at ``levels(N)``."""
         x = self.coerce(x)
-        if N < 1:
-            raise ValueError("N must be >= 1")
+        if N < 0:
+            raise ValueError("N must be >= 0")
         if not self.is_integral(x):
             raise NotIntegral(f"{x!r} is not integral")
-        if self.ramification == "unramified":
-            return (self.base.residue(x.x, N), self.base.residue(x.y, N))
-        nx = (N + 1) // 2
-        ny = N // 2
-        rx = self.base.residue(x.x, nx)
-        ry = self.base.residue(x.y, ny) if ny >= 1 else None
-        return (rx, ry)
+        return tuple(map(self.base.residue, (x.x, x.y), self.levels(N)))
 
     def lift(self, rep):
-        rx, ry = rep
-        x = self.base.lift(rx)
-        y = self.base.zero if ry is None else self.base.lift(ry)
-        return ExtElem(self, x, y)
+        return _elem(self, *map(self.base.lift, rep))
 
     def residues(self, N):
-        if self.ramification == "unramified":
-            for rx in self.base.residues(N):
-                for ry in self.base.residues(N):
-                    yield ExtElem(self, rx, ry)
-            return
-        nx = (N + 1) // 2
-        ny = N // 2
-        for rx in self.base.residues(nx):
-            if ny == 0:
-                yield ExtElem(self, rx, self.base.zero)
-            else:
-                for ry in self.base.residues(ny):
-                    yield ExtElem(self, rx, ry)
+        """Canonical lifts of R/pi^N: x outer, y inner, each in the base order."""
+        base = self.base
+        lifts = [map(base.lift, base.codes(n)) for n in self.levels(N)]
+        for x, y in itertools.product(*lifts):
+            yield _elem(self, x, y)
 
     def sort_key(self, x):
         x = self.coerce(x)

@@ -27,7 +27,7 @@ from matsim.oracle import conj_search_mod
 from matsim.polys import MonicPoly, parse_monic, quad_factor
 from matsim.rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
-from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat
+from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
@@ -434,3 +434,27 @@ class TestDeepBranches:
             C = canonical_matrix(form)
             w = witness(Z2, A, C)
             assert w is not None and w.check(A, C)
+
+
+def test_witness_is_checked_under_python_O():
+    # a wrong transform for A alone makes U = ub^-1 * ua fail U*A = B*U; the
+    # check must raise even when asserts are compiled away
+    proc = run_optimized(
+        "import importlib\n"
+        "C = importlib.import_module('matsim.classify')\n"
+        "from matsim.errors import InvariantViolation\n"
+        "from matsim.rings import ZLoc\n"
+        "R = ZLoc(3)\n"
+        "real, calls = C.to_canonical, []\n"
+        "def wrong(ring, A):\n"
+        "    form, U = real(ring, A)\n"
+        "    calls.append(A)\n"
+        "    return form, (C.Mat2(ring, [[1, 1], [0, 1]]) @ U if len(calls) == 1 else U)\n"
+        "C.to_canonical = wrong\n"
+        "A = C.Mat2(R, [[0, 1], [5, 0]])\n"
+        "try:\n"
+        "    C.witness(R, A, A)\n"
+        "except InvariantViolation:\n"
+        "    print('caught', __debug__)\n"
+    )
+    assert proc.stdout == "caught False\n", proc.stderr

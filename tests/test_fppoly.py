@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import legacy_fppoly as old
 from conftest import run_optimized
+from matsim import fppoly
 from matsim.fppoly import FpPoly, FpRat
+from matsim.polys import parse_monic, quad_factor
 from matsim.rings import FpTLoc
 
 PRIMES = [2, 3, 5, 251, 257, 65537, 999983]
@@ -189,3 +191,29 @@ def test_halve_exponents_rejects_under_python_O():
         "        print('rejected', __debug__)\n"
     )
     assert proc.stdout == "rejected False\nrejected False\n", proc.stderr
+
+
+PRIMES_TO_1000 = [p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def test_sqrt_mod_p_matches_scan_small_primes():
+    for p in PRIMES_TO_1000:
+        assert [fppoly._sqrt_mod_p(a, p) for a in range(p)] == [old._sqrt_mod_p(a, p) for a in range(p)]
+
+
+@pytest.mark.parametrize("p", [999953, 999961, 999983])
+def test_sqrt_mod_p_matches_scan_large_primes(p):
+    # p = 999953, 999961 are 1 mod 8, so the Tonelli loop runs
+    rng = random.Random(p)
+    for a in [rng.randrange(p) for _ in range(10)] + [rng.randrange(p) ** 2 for _ in range(10)]:
+        assert fppoly._sqrt_mod_p(a, p) == old._sqrt_mod_p(a, p)
+
+
+def test_quad_factor_large_prime_same_factors(monkeypatch):
+    ring = FpTLoc(999983)
+    # irreducible, and (x - 7t - 3)(x + 7t + 3)
+    fs = [parse_monic(s, ring) for s in ("x^2 - 889946*t^2 - 5", "x^2 - (49*t^2 + 42*t + 9)")]
+    fast = [quad_factor(f, ring) for f in fs]
+    monkeypatch.setattr(fppoly, "_sqrt_mod_p", old._sqrt_mod_p)
+    assert fast == [quad_factor(f, ring) for f in fs]
+    assert [q.reducible for q in fast] == [False, True]

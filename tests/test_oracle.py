@@ -16,7 +16,7 @@ from matsim.oracle import (
 from matsim.polys import MonicPoly
 from matsim.rings import FpTLoc, QuadExt, ZLoc
 
-from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat
+from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
@@ -188,3 +188,22 @@ class TestLevelCollapseReport:
     def test_degenerate_equal_levels_not_listed(self):
         rep = level_collapse_check(Z2, quad(Z2, 0, 5), Z2.one, 2)
         assert all(r.k < r.n for r in rep.rows)
+
+
+def test_kernel_solutions_are_checked_under_python_O():
+    # the identity has a unit determinant but does not solve U*A = B*U for
+    # A != B; the check must raise even when asserts are compiled away
+    proc = run_optimized(
+        "from matsim import oracle\n"
+        "from matsim.classify import Mat2, identity\n"
+        "from matsim.errors import InvariantViolation\n"
+        "from matsim.rings import ZLoc\n"
+        "R = ZLoc(2)\n"
+        "oracle._solve_congruence = lambda ring, *args: [identity(ring)]\n"
+        "A, B = Mat2(R, [[0, 1], [5, 0]]), Mat2(R, [[1, 1], [4, -1]])\n"
+        "try:\n"
+        "    oracle.conj_search_mod(R, A, B, 2)\n"
+        "except InvariantViolation:\n"
+        "    print('caught', __debug__)\n"
+    )
+    assert proc.stdout == "caught False\n", proc.stderr

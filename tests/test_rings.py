@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from matsim.errors import NotIntegral
 from matsim.fppoly import FpPoly, FpRat
+from matsim.oracle import quotient_size
 from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc
 
+import legacy_residues
 from conftest import arith
 
-from conftest import all_instances, instance_ids, rand_field_elem, rand_nonzero
+from conftest import all_instances, instance_ids, rand_field_elem, rand_integral, rand_nonzero
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
@@ -207,3 +209,27 @@ def test_deterministic_residue_order():
     # extension orders are lexicographic on the (x, y) pair
     first = list(UNRAM.residues(1))[:3]
     assert [UNRAM.encode(x) for x in first] == ["0", "w", "1"]
+
+
+RESIDUE_RINGS = all_instances() + [QuadExt(F2, 0, F2.uniformizer(), "eisenstein")]
+
+
+@pytest.mark.parametrize("ring", RESIDUE_RINGS, ids=instance_ids() + ["EisenF2"])
+def test_residues_match_legacy(ring, rng):
+    base = getattr(ring, "base", ring)
+    zero_code = base.residue(base.zero, 0)
+    N = 1
+    while quotient_size(ring, N) <= 3**6:
+        listed = list(ring.residues(N))
+        assert listed == list(legacy_residues.residues(ring, N))
+        assert quotient_size(ring, N) == len(listed)
+        samples = listed + [rand_integral(ring, rng) for _ in range(20)]
+        for r in samples:
+            code = ring.residue(r, N)
+            old = legacy_residues.residue(ring, r, N)
+            if isinstance(old, tuple):  # a level-0 y was None
+                old = tuple(zero_code if c is None else c for c in old)
+            assert code == old
+        assert all(ring.lift(ring.residue(r, N)) == r for r in listed)
+        N += 1
+    assert N > 4
