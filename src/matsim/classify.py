@@ -16,15 +16,19 @@ class by class:
 * re-target -- the residual parameter rho may be replaced by the canonical
                parameter of the class (independence of the choice of r).
 
-Each move carries an explicit basis-change matrix; the composition is the
-similarity witness, verified exactly before anything is returned.
+Every branch (reducible, inseparable, irreducible) pushes each of its moves,
+an explicit GL2(R) basis change, onto one chain; ``to_canonical`` multiplies
+the chain into the witness U and checks it once, with
+``GL2Witness(U).check(A, canonical_matrix(form))``, before returning
+anything.  A failure raises InvariantViolation, also under ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import InsepBoundRequired, InvalidParams, InvariantViolation, NotIntegral, ReduciblePoly
+from .errors import InsepBoundRequired, InvalidParams, InvariantViolation, NotIntegral, ReduciblePoly, invariant
 from .polys import MonicPoly, disc_quad, quad_factor
 from .rings import INF
 
@@ -244,10 +248,6 @@ def _theta_matrix(ring, f, g1, c):
     return Mat2(ring, [[-c, g1], [(b - c * (a + c)) / g1, a + c]])
 
 
-def _presented(ring, f, n, rho):
-    return _theta_matrix(ring, f, pi_pow(ring, n), rho)
-
-
 # ---------------------------------------------------------------------------
 # reducible case
 
@@ -279,10 +279,9 @@ def triangularize(ring, A: Mat2, roots):
     else:
         c1, c2 = ring.one, ring.zero
     U = Mat2(ring, [[c1, c2], [w1, w2]])
-    assert ring.val(U.det()) == 0
     T = (U @ A) @ U.inv()
-    assert T[1][0] == ring.zero
-    assert T[0][0] == lam1 and T[1][1] == lam2
+    shape = (T[0][0], T[1][0], T[1][1]) == (lam1, ring.zero, lam2)
+    invariant(U.is_unit() and shape, "U*A*U^-1 is not upper triangular with diagonal (lam1, lam2)")
     return GL2Witness(U), T
 
 
@@ -297,25 +296,21 @@ def reducible_normalize(ring, lam1, lam2, tau_raw):
     return pi_pow(ring, min(v, d) if v is not INF else d)
 
 
-def _classify_reducible(ring, A, f, fact):
+def _classify_reducible(ring, A, f, fact, chain):
     lam1, lam2 = fact.lam1, fact.lam2
     w1, T = triangularize(ring, A, (lam1, lam2))
+    chain.append(w1.U)
     tau_raw = T[0][1]
     tau = reducible_normalize(ring, lam1, lam2, tau_raw)
-    C = Mat2(ring, [[lam1, tau], [ring.zero, lam2]])
-    if tau_raw == tau:
-        V = identity(ring)
-    elif tau_raw and ring.val(tau_raw) == ring.val(tau):
-        n = ring.val(tau)
-        V = Mat2(ring, [[ring.one, ring.zero], [ring.zero, tau_raw / pi_pow(ring, n)]])
-    else:
-        # v(tau_raw) >= v(lam1 - lam2) (including tau_raw = 0): shear to pi^d
-        V = Mat2(ring, [[ring.one, (tau_raw - tau) / (lam1 - lam2)], [ring.zero, ring.one]])
-    assert (V @ T) == (C @ V) and V.is_unit()
-    U = V @ w1.U
-    form = Reducible(f, lam1, lam2, tau)
-    assert (U @ A) == (C @ U) and U.is_unit()
-    return form, U
+    if tau_raw != tau:
+        if tau_raw and ring.val(tau_raw) == ring.val(tau):
+            # scale the second basis vector by the unit tau_raw / tau
+            V = Mat2(ring, [[ring.one, ring.zero], [ring.zero, tau_raw / tau]])
+        else:
+            # v(tau_raw) >= v(lam1 - lam2) (including tau_raw = 0): shear to pi^d
+            V = Mat2(ring, [[ring.one, (tau_raw - tau) / (lam1 - lam2)], [ring.zero, ring.one]])
+        chain.append(V)
+    return Reducible(f, lam1, lam2, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -332,30 +327,20 @@ def _insep_params(ring, b, i):
     return None
 
 
-def _classify_insep(ring, A, f):
-    b = f.b
+def _classify_insep(ring, A, f, chain):
+    # char 2 and trace 0, so A = [[u, s], [t, u]]
     u, s, t = A[0][0], A[0][1], A[1][0]
-    assert A[1][1] == u, "char-2 trace-zero matrix must have equal diagonal"
-    W = identity(ring)
-    cur = A
     if ring.val(t) > ring.val(s):
         # conjugate onto the transpose so the lower-left has minimal valuation
-        W = Mat2(ring, [[t / s, ring.one], [ring.one, ring.one]])
-        cur = cur.transpose()
-        assert (W @ A) == (cur @ W) and W.is_unit()
-        u, s, t = cur[0][0], cur[0][1], cur[1][0]
+        chain.append(Mat2(ring, [[t / s, ring.one], [ring.one, ring.one]]))
+        s, t = t, s
     i = ring.val(t)
-    params = _insep_params(ring, b, i)
-    assert params is not None, "matrix itself witnesses solvability at its level"
+    params = _insep_params(ring, f.b, i)
+    invariant(params is not None, "the matrix itself witnesses solvability at its level")
     ui, si = params
-    form = Insep(f, i, ui, si)
-    C = Mat2(ring, [[ui, si], [pi_pow(ring, i), ui]])
     pii = pi_pow(ring, i)
-    V = Mat2(ring, [[t / pii, (u + ui) / pii], [ring.zero, ring.one]])
-    assert (V @ cur) == (C @ V) and V.is_unit()
-    U = V @ W
-    assert (U @ A) == (C @ U) and U.is_unit()
-    return form, U
+    chain.append(Mat2(ring, [[t / pii, (u + ui) / pii], [ring.zero, ring.one]]))
+    return Insep(f, i, ui, si)
 
 
 # ---------------------------------------------------------------------------
@@ -413,59 +398,36 @@ def compute_m(ring, f: MonicPoly, case: str):
 # the irreducible pipeline
 
 
-class _Chain:
-    """Accumulates left basis changes; their product is the witness."""
-
-    def __init__(self, ring, A):
-        self.ring = ring
-        self.S = identity(ring)
-        self.M = A
-
-    def push(self, sigma: Mat2, M_next: Mat2):
-        assert (sigma @ self.M) == (M_next @ sigma), "conjugation step failed"
-        assert sigma.is_unit()
-        self.S = sigma @ self.S
-        self.M = M_next
-
-    def witness_to(self, C: Mat2, A: Mat2):
-        assert self.M == C
-        U = self.S
-        assert (U @ A) == (C @ U) and U.is_unit()
-        return U
-
-
 _SEP_FORMS = {"case1": Case1, "char2sep": Char2Sep}
 _MAIN_FORMS = {"unit2": Unit2, "case21": Case21, "case22": Case22Main}
 _BRANCH_FORMS = {**_SEP_FORMS, **_MAIN_FORMS, "case22": (Case22Main, Case22Extra), "insep": Insep}
 
 
-def _classify_irreducible(ring, A, f, branch):
+def _classify_irreducible(ring, A, f, branch, chain):
     a, b = f.a, f.b
     alpha, beta = A[0][0], A[0][1]
-    assert beta, "irreducible characteristic polynomial forces a nonzero corner"
-    chain = _Chain(ring, A)
+    invariant(beta, "an irreducible characteristic polynomial forces a nonzero corner")
 
     # present: the ideal R*beta + R*(theta - alpha) in standard shape
-    # (the column (beta, theta - alpha) is a theta-eigenvector of A)
+    # R*pi^n + R*(rho + theta) (the column (beta, theta - alpha) is a
+    # theta-eigenvector of A)
     n = ring.val(beta)
     rho = reduce_mod(ring, -alpha, n)
     eps = beta / pi_pow(ring, n)
-    sigma0 = Mat2(ring, [[ring.one / eps, ring.zero], [(rho + alpha) / beta, ring.one]])
-    chain.push(sigma0, _presented(ring, f, n, rho))
+    chain.append(Mat2(ring, [[ring.one / eps, ring.zero], [(rho + alpha) / beta, ring.one]]))
 
     # reflect until n <= v(T)/2
     while True:
         T = b - rho * (a + rho)
         vT = ring.val(T)
-        assert vT is not INF and vT >= n
+        invariant(vT is not INF and vT >= n, "the presented basis must span an ideal: v(T) >= n")
         if 2 * n <= vT:
             break
         n_new = vT - n
         rho_new = reduce_mod(ring, -(a + rho), n_new)
         epsT = T / pi_pow(ring, vT)
         delta = (rho_new + a + rho) / pi_pow(ring, n_new)
-        sigma = Mat2(ring, [[ring.zero, ring.one / epsT], [ring.one, delta / epsT]])
-        chain.push(sigma, _presented(ring, f, n_new, rho_new))
+        chain.append(Mat2(ring, [[ring.zero, ring.one / epsT], [ring.one, delta / epsT]]))
         n, rho = n_new, rho_new
 
     # saturate: levels beyond c = v(2*rho + a) collapse to c
@@ -474,47 +436,40 @@ def _classify_irreducible(ring, A, f, branch):
     if c < n:
         T = b - rho * (a + rho)
         w = (pi_pow(ring, n) + two_rho_a) / pi_pow(ring, c)
-        sigma = Mat2(ring, [[ring.one, ring.one], [T / pi_pow(ring, c + n), w]])
-        chain.push(sigma, _presented(ring, f, c, rho))
+        chain.append(Mat2(ring, [[ring.one, ring.one], [T / pi_pow(ring, c + n), w]]))
         n = c
         rho_new = reduce_mod(ring, rho, n)
         if rho_new != rho:
-            sigma = Mat2(
-                ring,
-                [[ring.one, ring.zero], [(rho_new - rho) / pi_pow(ring, n), ring.one]],
-            )
-            chain.push(sigma, _presented(ring, f, n, rho_new))
+            chain.append(Mat2(ring, [[ring.one, ring.zero], [(rho_new - rho) / pi_pow(ring, n), ring.one]]))
             rho = rho_new
 
     # dispatch on the classification branch and move rho to its canonical value
     name, _, vd = branch
     if name in _SEP_FORMS:
         m, rstar = compute_m(ring, f, name)
-        assert n <= m
+        invariant(n <= m, "the reduced level exceeds the maximal collapse level m")
         form = _SEP_FORMS[name](f, rstar, n)
         target = rstar
     else:
         half_a = a / ring.from_int(2)
         v_shift = ring.val(rho + half_a)
         if v_shift >= n:
-            assert 2 * n <= vd
+            invariant(2 * n <= vd, "the reduced level exceeds v(Delta)/2")
             form = _MAIN_FORMS[name](f, n)
             target = -half_a
         else:
-            assert name == "case22" and 2 * v_shift == vd
+            invariant(name == "case22" and 2 * v_shift == vd, "only case22 has the extra family")
             m, rstar = compute_m(ring, f, name)
-            assert 1 <= n - vd // 2 <= m
+            invariant(1 <= n - vd // 2 <= m, "the extra-family index lies outside 1..m")
             form = Case22Extra(f, rstar, n - vd // 2)
             target = rstar - half_a
 
+    # re-target
     dlt = target - rho
-    assert n == 0 or ring.val(dlt) >= n, "canonical parameter change must fix the class"
+    invariant(n == 0 or ring.val(dlt) >= n, "the canonical parameter must agree with rho mod pi^n")
     if dlt != ring.zero:
-        sigma = Mat2(ring, [[ring.one, ring.zero], [dlt / pi_pow(ring, n), ring.one]])
-        chain.push(sigma, _presented(ring, f, n, target))
-    C = canonical_matrix(form)
-    U = chain.witness_to(C, A)
-    return form, U
+        chain.append(Mat2(ring, [[ring.one, ring.zero], [dlt / pi_pow(ring, n), ring.one]]))
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +477,29 @@ def _classify_irreducible(ring, A, f, branch):
 
 
 def to_canonical(ring, A: Mat2):
-    """(canonical form, witness U with U*A = canonical_matrix*U)."""
+    """(canonical form, witness U with U*A = canonical_matrix*U).
+
+    The branch pushes its moves onto ``chain`` (each a left basis change)
+    and returns the form; U is their product, checked here before return.
+    """
     f = A.char_poly()
     fact = quad_factor(f, ring)
+    chain = []
     if fact.reducible:
-        return _classify_reducible(ring, A, f, fact)
-    branch = _branch(ring, f)
-    if branch[0] == "insep":
-        return _classify_insep(ring, A, f)
-    return _classify_irreducible(ring, A, f, branch)
+        form = _classify_reducible(ring, A, f, fact, chain)
+    else:
+        branch = _branch(ring, f)
+        if branch[0] == "insep":
+            form = _classify_insep(ring, A, f, chain)
+        else:
+            form = _classify_irreducible(ring, A, f, branch, chain)
+    U = reduce(lambda U, sigma: sigma @ U, chain)
+    try:
+        C = canonical_matrix(form)
+    except InvalidParams as exc:
+        raise InvariantViolation(f"the classification produced an invalid form: {exc}") from exc
+    invariant(GL2Witness(U).check(A, C), "the witness fails U*A = C*U")
+    return form, U
 
 
 def classify(ring, A: Mat2):
@@ -553,10 +522,8 @@ def witness(ring, A: Mat2, B: Mat2):
     form_b, ub = to_canonical(ring, B)
     if form_a != form_b:
         return None
-    U = ub.inv() @ ua
-    w = GL2Witness(U)
-    if not w.check(A, B):
-        raise InvariantViolation("the witness fails U*A = B*U")
+    w = GL2Witness(ub.inv() @ ua)
+    invariant(w.check(A, B), "the witness fails U*A = B*U")
     return w
 
 

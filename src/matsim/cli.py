@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import lattices as lat
 from . import lm
 from .classify import (
+    GL2Witness,
     LowerBound,
     Mat2,
     Reducible,
@@ -32,7 +33,7 @@ from .classify import (
     to_canonical,
     witness,
 )
-from .errors import InvariantViolation, MatsimError
+from .errors import InvariantViolation, MatsimError, invariant
 from .oracle import DEFAULT_BUDGET, conj_search_mod
 from .polys import parse_monic
 from .rings import ring_from_json
@@ -128,7 +129,7 @@ def cmd_classify(args):
     A = _parse_matrix(ring, doc, "matrix")
     form, U = to_canonical(ring, A)
     C = canonical_matrix(form)
-    verified = (U @ A) == (C @ U) and U.is_unit()
+    verified = GL2Witness(U).check(A, C)
     return {
         "form": form.label(),
         "canonical_matrix": C.encode(),
@@ -151,8 +152,7 @@ def cmd_similar(args):
         N = _oracle_level(doc)
         found = conj_search_mod(ring, A, B, N, args.oracle_budget)
         result["oracle"] = {"N": N, "witness_mod": None if found is None else found.U.encode()}
-        if found is None and result["similar"]:
-            raise InvariantViolation("oracle contradicts an exact similarity")
+        invariant(found is not None or not result["similar"], "oracle contradicts an exact similarity")
     return result
 
 

@@ -67,3 +67,10 @@ class ReduciblePoly(MatsimError, ValueError):
 
 class InvariantViolation(MatsimError):
     """An internal consistency check failed: a defect of the library, not of the input."""
+
+
+def invariant(ok, message):
+    """Raise InvariantViolation(message) unless ok: a check that, unlike
+    ``assert``, survives ``python -O``."""
+    if not ok:
+        raise InvariantViolation(message)

@@ -321,6 +321,12 @@ class FpPoly:
     def eval_at_zero(self):
         return int.from_bytes(self._c[: _lane(self.p)], "little")
 
+    def __int__(self):
+        """The value of a constant polynomial, such as a residue mod t."""
+        if self.degree > 0:
+            raise TypeError("only a constant FpPoly has an int value")
+        return self.eval_at_zero()
+
     def even_part_only(self):
         """True when every nonzero coefficient sits at an even exponent."""
         return not any(_lanes(self._c, _lane(self.p))[1::2])

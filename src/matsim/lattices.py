@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .errors import NotFreeError, NotFullRank, UnsupportedRing, X0InBase
+from .errors import NotFreeError, NotFullRank, UnsupportedRing, X0InBase, invariant
 from .intlin import field_solve, hnf_int, left_kernel_int, solve_int
 from .polys import parse_monic_quadratic
 from .rings import QQ, ExtElem, QuadAlgebra
@@ -120,7 +120,7 @@ class QLattice:
     def index_in(self):
         """For a full-rank lattice: covolume relative to Z^dim (pivot product)."""
         n = len(self.rows[0])
-        assert self.rank == n
+        invariant(self.rank == n, "the index is defined for full-rank lattices")
         val = 1
         for r in self.rows:
             val *= next(c for c in r if c)
@@ -147,13 +147,13 @@ class FracIdealR:
             raise NotFullRank("ideal must have rank 2 over Z")
         out = cls(base, lat)
         if check:
-            out._assert_module()
+            out._check_module()
         return out
 
-    def _assert_module(self):
+    def _check_module(self):
         for e in self.elems():
             w = self.base.omega * e
-            assert self.lat.member((w.y, w.x)), "not closed under multiplication by w"
+            invariant(self.lat.member((w.y, w.x)), "not closed under multiplication by w")
 
     def elems(self):
         return [ExtElem(self.base, v[1], v[0]) for v in self.lat.vectors()]
@@ -180,7 +180,7 @@ class FracIdealR:
     def encode(self):
         """Classical presentation "(n)" or "(n, r + c*w)"."""
         (c0, r0), second = self.lat.rows
-        assert second[0] == 0
+        invariant(second[0] == 0, "the HNF of a rank-2 lattice is upper triangular")
         n = Fraction(second[1], self.den_scalar())
         gen2 = ExtElem(self.base, Fraction(r0, self.den_scalar()), Fraction(c0, self.den_scalar()))
         if gen2.y and n and gen2 == self.base.omega * n:
@@ -215,7 +215,7 @@ def is_principal(base: QuadBase, ideal: FracIdealR):
     scale = ideal.den_scalar()
     integral = ideal.scaled(Fraction(scale))
     N = integral.norm_index()
-    assert N.denominator == 1
+    invariant(N.denominator == 1, "the norm of an integral ideal is an integer")
     N = int(N)
     dd = -base.d
     y = 0
@@ -240,6 +240,11 @@ def is_principal(base: QuadBase, ideal: FracIdealR):
 class RelExt(QuadAlgebra):
     """L = K[theta], theta^2 = a*theta + b with a, b in R; elements are
     ExtElem over QuadBase, with rational coordinates (1, w, theta, w*theta)."""
+
+    def __init__(self, base, mp_a, mp_b):
+        super().__init__(base, mp_a, mp_b)
+        if any(c.denominator != 1 for e in (self.mp_a, self.mp_b) for c in (e.x, e.y)):
+            raise ValueError("f = x^2 - a*x - b needs a and b in Z[w], w = sqrt(d)")
 
     @classmethod
     def from_poly_string(cls, base, s):
@@ -295,16 +300,15 @@ def lattice_from_generators(ctx: RelExt, gens) -> LLattice:
     if lat.rank != 4:
         raise NotFullRank("generators do not span L over K")
     out = LLattice(ctx, lat)
-    _assert_rtheta_module(out)
+    _check_rtheta_module(out)
     return out
 
 
-def _assert_rtheta_module(J: LLattice):
+def _check_rtheta_module(J: LLattice):
     w = J.ctx.base.omega
     th = J.ctx.gen()
     for e in J.basis_elems():
-        assert J.contains(w * e), "lattice not closed under w"
-        assert J.contains(th * e), "lattice not closed under theta"
+        invariant(J.contains(w * e) and J.contains(th * e), "lattice not closed under w and theta")
 
 
 def intersect_base(J: LLattice) -> FracIdealR:
@@ -317,7 +321,7 @@ def intersect_base(J: LLattice) -> FracIdealR:
         vec = [
             sum(comb[i] * J.lat.rows[i][j] for i in range(len(comb))) for j in range(4)
         ]
-        assert vec[2] == 0 and vec[3] == 0
+        invariant(vec[2] == 0 and vec[3] == 0, "a kernel vector has a theta-part")
         elems.append(ExtElem(J.ctx.base, Fraction(vec[0], den), Fraction(vec[1], den)))
     return FracIdealR.from_elems(J.ctx.base, elems)
 
@@ -388,20 +392,19 @@ def free_basis(J: LLattice, dec: Decomposition):
         [_scaled_pair(p, st.den_scalar()) for p in prods],
         _scaled_pair(g, st.den_scalar()),
     )
-    assert sol is not None, "Steinitz generator must lie in the product lattice"
+    invariant(sol is not None, "the Steinitz generator must lie in the product lattice")
     B1 = sol[0] * b1v + sol[1] * b2v
     B2 = sol[2] * b1v + sol[3] * b2v
-    assert a1 * B1 + a2 * B2 == g
     basis1 = a1 * v - B2
     basis2 = a2 * v + B1
     span = lattice_from_generators(J.ctx, [basis1, basis2])
-    assert span == J, "free basis must regenerate the lattice exactly"
+    invariant(span == J, "the free basis must regenerate the lattice exactly")
     return (basis1, basis2)
 
 
 def _scaled_pair(e: ExtElem, den):
     x = e.y * den, e.x * den
-    assert all(c.denominator == 1 for c in x)
+    invariant(all(c.denominator == 1 for c in x), "coordinates must be integral after scaling")
     return [int(x[0]), int(x[1])]
 
 
@@ -419,9 +422,9 @@ def _find_u0(J: LLattice, x0: ExtElem, frak_a: FracIdealR, frak_b: FracIdealR):
         target = k * x0.y  # required theta-part
         rows = [[r[2], r[3]] for r in J.lat.rows]
         tvec = [target.x * dens, target.y * dens]
-        assert all(t.denominator == 1 for t in tvec)
+        invariant(all(t.denominator == 1 for t in tvec), "theta-parts must be integral after scaling")
         comb = solve_int(rows, [int(t) for t in tvec])
-        assert comb is not None, "frak_a generators are attained on J"
+        invariant(comb is not None, "frak_a generators are attained on J")
         j = [sum(comb[i] * J.lat.rows[i][c] for i in range(4)) for c in range(4)]
         proj = ExtElem(base, Fraction(j[0], dens), Fraction(j[1], dens))
         w_i = proj / k
@@ -437,12 +440,8 @@ def _find_u0(J: LLattice, x0: ExtElem, frak_a: FracIdealR, frak_b: FracIdealR):
     irows = [[int(c * den) for c in r] for r in rows]
     itarget = [int(diff.x * den), int(diff.y * den)]
     sol = solve_int(irows, itarget)
-    assert sol is not None, "a largest-coefficient vector always exists"
-    u0 = w1 + sol[0] * lam1[0] + sol[1] * lam1[1]
-    # verify: k*(x0 + u0) lies in J for both generators
-    for k in frak_a.elems():
-        assert J.contains(k * x0 + k * u0)
-    return u0
+    invariant(sol is not None, "a largest-coefficient vector always exists")
+    return w1 + sol[0] * lam1[0] + sol[1] * lam1[1]
 
 
 def mult_matrix(J: LLattice, basis):
@@ -458,12 +457,8 @@ def mult_matrix(J: LLattice, basis):
     if any(c.denominator != 1 for col in cols for e in col for c in e.coords()):
         raise NotFreeError("matrix entries leave R; basis is not an R-basis")
     A = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
-    # defining identity theta*(b1, b2) = (b1, b2)*A, entrywise exact
+    # defining identity theta*(b1, b2) = (b1, b2)*A, entrywise exact; as
+    # (b1, b2) is a K-basis of L, it also gives A trace a and determinant -b
     for j, bj in enumerate(basis):
-        rhs = A[0][j] * b1 + A[1][j] * b2
-        assert th * bj == rhs
-    # char poly check: trace = a, det = -b
-    tr = A[0][0] + A[1][1]
-    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    assert tr == ctx.mp_a and det + ctx.mp_b == ctx.base.zero
+        invariant(th * bj == A[0][j] * b1 + A[1][j] * b2, "theta*(b1, b2) = (b1, b2)*A failed")
     return A

@@ -26,11 +26,11 @@ from .classify import similar as dvr_similar
 from .errors import (
     CharPolyMismatch,
     IndefiniteForm,
-    InvariantViolation,
     NotAnIdeal,
     NotImaginaryQuadratic,
     NotSeparable,
     UnsupportedRing,
+    invariant,
 )
 from .intlin import field_solve
 from .polys import MonicPoly, char_poly_n, is_separable, mul_mod, poly_gcd
@@ -157,8 +157,8 @@ def _krylov_conjugator(ring, f, A):
     n = f.degree
     rng = random.Random(_KRYLOV_SEED)
     candidates = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    best = None
     for _ in range(32):
-        best = None
         for w in candidates:
             g = [None] * n
             g[n - 1] = list(w)
@@ -172,9 +172,10 @@ def _krylov_conjugator(ring, f, A):
             if best is None or score < best[0]:
                 best = (score, g)
         if best is not None:
-            return best[1]
+            break
         candidates = [[ring.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(4)]
-    raise InvariantViolation("no cyclic vector found (should be impossible)")
+    invariant(best is not None, "no cyclic vector found (should be impossible)")
+    return best[1]
 
 
 def _det_size(ring, d):
@@ -194,8 +195,7 @@ def _verify_star(J: IdealBasis, A):
         rhs = tuple(
             sum((J.basis[k][i] * A[k][j] for k in range(n)), ring.zero) for i in range(n)
         )
-        if lhs != rhs:
-            raise InvariantViolation("identity theta*(u) = (u)*A failed")
+        invariant(lhs == rhs, "identity theta*(u) = (u)*A failed")
 
 
 def ideal_to_matrix(f: MonicPoly, J: IdealBasis):

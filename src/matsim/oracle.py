@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 
 from .classify import Mat2, pi_pow
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import BudgetExceeded, invariant
 from .intlin import smith_normal_form
 from .rings import QuadExt
 
@@ -76,8 +76,7 @@ def conj_search_mod(ring, A: Mat2, B: Mat2, N: int, budget: int = DEFAULT_BUDGET
     for U in candidates:
         if ring.val(U.det()) != 0:
             continue
-        if not mat_congruent_mod(ring, U @ A, B @ U, N):
-            raise InvariantViolation("a kernel solution fails U*A = B*U mod pi^N")
+        invariant(mat_congruent_mod(ring, U @ A, B @ U, N), "a kernel solution fails U*A = B*U mod pi^N")
         key = tuple(ring.sort_key(U[i][j]) for i in range(2) for j in range(2))
         hits.append((key, U))
     if not hits:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CharTwo, InvariantViolation, NotIntegral, UnsupportedRing
+from .errors import CharTwo, NotIntegral, UnsupportedRing, invariant
 from .fppoly import FpPoly, FpRat
 from .rings import ExtElem, FpTLoc, QuadExt, ZLoc, _collect, _terms
 
@@ -393,8 +393,7 @@ def _as_solve_f2t(c: FpRat):
         return None
     u = FpPoly(2, sol)
     z = FpRat(u, v)
-    if z * z + z != c:
-        raise InvariantViolation("z^2 + z = c failed for the GF(2)-linear solution")
+    invariant(z * z + z == c, "z^2 + z = c failed for the GF(2)-linear solution")
     return z
 
 
@@ -486,9 +485,8 @@ def quad_factor(f: MonicPoly, ring) -> QuadFactorization:
                 return QuadFactorization.irreducible()
             r1, r2 = a * z, a * z + a
     lam1, lam2 = _order_roots(ring, r1, r2)
-    for lam in (lam1, lam2):
-        if ring.val(lam) < 0 or f(lam) != ring.zero:
-            raise InvariantViolation("quad_factor produced a non-integral root or a non-root")
+    roots = all(ring.val(lam) >= 0 and f(lam) == ring.zero for lam in (lam1, lam2))
+    invariant(roots, "quad_factor produced a non-integral root or a non-root")
     return QuadFactorization(True, lam1, lam2)
 
 

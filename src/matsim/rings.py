@@ -638,9 +638,15 @@ class QuadExt(QuadAlgebra):
         # unramified: x^2 - a x - b must have no root in the residue field
         if not (base.val(a) >= 0 and base.val(b) >= 0):
             raise ValueError("minimal polynomial must have integral coefficients")
-        abar, bbar = base.residue(a, 1), base.residue(b, 1)
-        pi = base.residue(base.uniformizer(), 2)
-        if any(not (z * (z - abar) - bbar) % pi for z in base.codes(1)):
+        p = base.p
+        if p == 2:
+            abar, bbar = base.residue(a, 1), base.residue(b, 1)
+            pi = base.residue(base.uniformizer(), 2)
+            root = any(not (z * (z - abar) - bbar) % pi for z in base.codes(1))
+        else:  # Euler's criterion: a root iff a^2 + 4b is a square mod pi
+            disc = int(base.residue(a * a + base.from_int(4) * b, 1))
+            root = pow(disc, (p - 1) // 2, p) != p - 1
+        if root:
             raise ValueError(f"reduction mod {base.pi_name} is not irreducible")
 
     def _key(self):

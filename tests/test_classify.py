@@ -458,3 +458,47 @@ def test_witness_is_checked_under_python_O():
         "    print('caught', __debug__)\n"
     )
     assert proc.stdout == "caught False\n", proc.stderr
+
+
+# one corrupted step per branch of to_canonical, each a wrong answer that the
+# final check must turn into InvariantViolation with asserts compiled away
+CORRUPTED_STEPS = {
+    # tau + pi^9 is not a power of pi: not a canonical tau
+    "reducible": (
+        "R = ZLoc(3)\n"
+        "A = C.Mat2(R, [[1, 1], [0, 4]])\n"
+        "real = C.reducible_normalize\n"
+        "C.reducible_normalize = lambda ring, *args: real(ring, *args) + C.pi_pow(ring, 9)\n"
+    ),
+    # s + 1 breaks u^2 + s*pi^i = b
+    "insep": (
+        "R = FpTLoc(2)\n"
+        "t = R.uniformizer()\n"
+        "A = C.Mat2(R, [[t, t * t], [t, t]])\n"
+        "real = C._insep_params\n"
+        "C._insep_params = lambda ring, b, i: (lambda u, s: (u, s + ring.one))(*real(ring, b, i))\n"
+    ),
+    # r + 1 is not congruent to the reduced rho mod pi^n (Case22Extra, n = 1)
+    "irreducible": (
+        "R = ZLoc(2)\n"
+        "A = C.Mat2(R, [[-1, 2], [2, 1]])\n"
+        "real = C.compute_m\n"
+        "C.compute_m = lambda ring, f, case: (lambda m, r: (m, r + 1))(*real(ring, f, case))\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(CORRUPTED_STEPS))
+def test_each_branch_is_checked_under_python_O(branch):
+    proc = run_optimized(
+        "import importlib\n"
+        "C = importlib.import_module('matsim.classify')\n"
+        "from matsim.errors import InvariantViolation\n"
+        "from matsim.rings import FpTLoc, ZLoc\n"
+        + CORRUPTED_STEPS[branch]
+        + "try:\n"
+        "    print(C.to_canonical(R, A)[0].label())\n"
+        "except InvariantViolation:\n"
+        "    print('caught', __debug__)\n"
+    )
+    assert proc.stdout == "caught False\n", proc.stdout + proc.stderr

@@ -71,6 +71,13 @@ def test_lattice_free_x2_minus_2(capsys):
     assert "free_basis" in doc and "mult_matrix" in doc
 
 
+def test_lattice_free_rejects_f_outside_the_order(capsys):
+    payload = json.dumps({"d": -5, "f": "x^2-1/2", "generators": [["2", "0", "0", "0"], ["0", "0", "1", "0"]]})
+    code, out, err = run(capsys, "lattice-free", "--in", payload)
+    assert (code, out) == (2, "")
+    assert err == "error: bad lattice payload: f = x^2 - a*x - b needs a and b in Z[w], w = sqrt(d)\n"
+
+
 def test_classify_witness_verified(capsys):
     code, out, _ = run(capsys, "classify", "--ring", Z2, "--in", '{"matrix": [["3","7"],["2","-3"]]}')
     assert code == 0

@@ -21,7 +21,7 @@ from matsim.lattices import (
 )
 from matsim.rings import ExtElem
 
-from conftest import qmat_det, qmat_mul
+from conftest import qmat_det, qmat_mul, run_optimized
 
 BASE = QuadBase(-5)
 
@@ -76,6 +76,16 @@ class TestQuadBase:
 
 
 class TestLatticeConstruction:
+    def test_relext_needs_coefficients_in_the_order(self):
+        # theta must be integral over R, or R[theta]-spans are no R[theta]-modules
+        for f in ("x^2 - 1/2", "x^2 - (1/3*w)*x - 1", "x^2 + 1/2*w"):
+            with pytest.raises(ValueError, match="needs a and b in Z"):
+                RelExt.from_poly_string(BASE, f)
+        with pytest.raises(ValueError):
+            RelExt(BASE, 0, Fraction(1, 2))
+        ctx = RelExt.from_poly_string(BASE, "x^2 - w*x - 2")
+        assert (ctx.mp_a, ctx.mp_b) == (BASE.omega, BASE.elem(2))
+
     def test_full_ring(self):
         ctx = RelExt.from_poly_string(BASE, "x^2 - 2")
         J = lattice_from_generators(ctx, [lelem(ctx, (1, 0, 0, 0))])
@@ -279,3 +289,24 @@ class TestNonPrincipalityBox:
                 continue
             span = lattice_from_generators(ctx, [cand])
             assert span != J
+
+
+def test_free_basis_is_checked_under_python_O():
+    # a wrong u0 gives a basis that spans another lattice; the check of the
+    # returned basis must raise even when asserts are compiled away
+    proc = run_optimized(
+        "from fractions import Fraction\n"
+        "from matsim import lattices as L\n"
+        "from matsim.errors import InvariantViolation\n"
+        "base = L.QuadBase(-5)\n"
+        "ctx = L.RelExt.from_poly_string(base, 'x^2 - 2')\n"
+        "gens = [L.lelem(ctx, (2, 0, 0, 0)), L.lelem(ctx, (0, 0, Fraction(1, 2), Fraction(1, 2)))]\n"
+        "J = L.lattice_from_generators(ctx, gens)\n"
+        "real = L._find_u0\n"
+        "L._find_u0 = lambda *args: real(*args) + Fraction(1, 2)\n"
+        "try:\n"
+        "    print(L.is_free(J))\n"
+        "except InvariantViolation:\n"
+        "    print('caught', __debug__)\n"
+    )
+    assert proc.stdout == "caught False\n", proc.stdout + proc.stderr

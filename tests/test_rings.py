@@ -135,6 +135,34 @@ class TestRingValidation:
         with pytest.raises(ValueError):
             ZLoc(4)
 
+    def test_unramified_check_matches_root_scan(self):
+        # Euler's criterion (odd p) and the two-value scan (p = 2) against a
+        # scan of every z in GF(p) for a root of z^2 - a*z - b; a and b are
+        # lifted by pi so that their residues have to be taken
+        primes = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+        for p in primes:
+            for base in (ZLoc(p), FpTLoc(p)):
+                pi = base.uniformizer()
+                for a in range(p):
+                    for b in range(p):
+                        root = any((z * z - a * z - b) % p == 0 for z in range(p))
+                        lifts = (base.from_int(a) + pi, base.from_int(b) - pi)
+                        try:
+                            QuadExt(base, *lifts, "unramified")
+                            built = True
+                        except ValueError as exc:
+                            assert str(exc) == f"reduction mod {base.pi_name} is not irreducible"
+                            built = False
+                        assert built == (not root), (base, a, b)
+
+    def test_unramified_at_a_large_prime(self):
+        # 999983 = 3 mod 4, so -1 is not a square: x^2 + 1 stays irreducible
+        for base in (ZLoc(999983), FpTLoc(999983)):
+            ext = QuadExt(base, 0, -1, "unramified")
+            assert ext.gen() * ext.gen() == ext.from_int(-1)
+            with pytest.raises(ValueError):
+                QuadExt(base, 0, 4, "unramified")
+
 
 # ---------------------------------------------------------------------------
 # axioms on random samples, all instances
