@@ -224,10 +224,16 @@ class LowerBound:
 
 
 def pi_pow(ring, k: int):
-    out = ring.one
-    pi = ring.uniformizer()
-    for _ in range(k):
-        out = out * pi
+    """pi^k by binary powering (k >= 0)."""
+    if k < 0:
+        raise ValueError(f"pi_pow needs k >= 0, got {k}")
+    out, sq = ring.one, ring.uniformizer()
+    while k:
+        if k & 1:
+            out = out * sq
+        k >>= 1
+        if k:
+            sq = sq * sq
     return out
 
 
@@ -236,6 +242,30 @@ def reduce_mod(ring, x, k: int):
     if k <= 0:
         return ring.zero
     return ring.lift(ring.residue(x, k))
+
+
+def _lift_chain(ring, ok, top):
+    """[r_0, ..., r_m]: r_0 = 0 and r_k the canonical r mod pi^k with ok(r, k),
+    tried as r_(k-1) + pi^(k-1)*d over the digits d of R/pi; m is top or the
+    last level some digit passes.  Exact when the solutions of ok(., k) form
+    one class mod pi^k for every k <= top (see compute_m and _insep_chain).
+    """
+    if top < 1:
+        return [ring.zero]
+    digits = list(ring.residues(1))
+    pi = ring.uniformizer()
+    chain, step = [ring.zero], ring.one  # step = pi^(k-1)
+    for k in range(1, top + 1):
+        prev = chain[-1]
+        for d in digits:
+            r = reduce_mod(ring, prev + step * d, k)
+            if ok(r, k):
+                chain.append(r)
+                break
+        else:
+            break
+        step = step * pi
+    return chain
 
 
 def _theta_matrix(ring, f, g1, c):
@@ -317,14 +347,21 @@ def _classify_reducible(ring, A, f, fact, chain):
 # inseparable case (char K = 2, f = x^2 - b)
 
 
+def _insep_chain(ring, b, top):
+    """The least u mod pi^i with v(b - u^2) >= 2i, for i = 0, 1, ... while
+    one exists (up to top).  In characteristic 2, (u+h)^2 = u^2 + h^2, so
+    the solutions at level i are one class u + pi^i R and lifting finds it.
+    """
+    return _lift_chain(ring, lambda u, k: ring.val(b - u * u) >= 2 * k, top)
+
+
 def _insep_params(ring, b, i):
     """Least u mod pi^i with v(b - u^2) >= 2i, and s = (b - u^2)/pi^i."""
-    if i == 0:
-        return ring.zero, b
-    for u in ring.residues(i):
-        if ring.val(b - u * u) >= 2 * i:
-            return u, (b - u * u) / pi_pow(ring, i)
-    return None
+    chain = _insep_chain(ring, b, i)
+    if len(chain) <= i:
+        return None
+    u = chain[i]
+    return u, (b - u * u) / pi_pow(ring, i)
 
 
 def _classify_insep(ring, A, f, chain):
@@ -372,10 +409,13 @@ def compute_m(ring, f: MonicPoly, case: str):
     v(Delta - r^2) >= 2m + v(Delta) with v(r) = v(Delta)/2 (case22),
     together with the least realizing r in the deterministic element order.
 
-    The condition only depends on r modulo pi^(2m), so the search is a
-    finite residue enumeration, descending from the case bound.  Case22 is
-    the same search for x^2 - u, u = Delta/pi^v(Delta), scaled by
-    pi^(v(Delta)/2); for m >= 1 every root of x^2 - u is a unit.
+    With T(r) = b - r(r+a), T(r+h) = T(r) - h(h + a + 2r), and for
+    v(h) < bound (v(a), or v(2) in case22) the difference has valuation
+    exactly 2v(h).  So up to the bound the solutions at level k are one class
+    r + pi^k R, whose least member is its canonical representative, and one
+    digit-by-digit lift finds m and r.  Case22 is the same search for
+    x^2 - u, u = Delta/pi^v(Delta), scaled by pi^(v(Delta)/2); for m >= 1
+    every root of x^2 - u is a unit.
     """
     if case in ("case1", "char2sep"):
         a, b, bound, scale = f.a, f.b, ring.val(f.a), ring.one
@@ -387,11 +427,9 @@ def compute_m(ring, f: MonicPoly, case: str):
         a, b, bound = ring.zero, delta / (scale * scale), ring.val_of_two()
     else:
         raise ValueError(f"unknown case {case!r}")
-    for m in range(bound, 0, -1):
-        for r in ring.residues(2 * m):
-            if ring.val(b - r * (r + a)) >= 2 * m:
-                return m, scale * r
-    return 0, (None if case == "case22" else ring.zero)
+    chain = _lift_chain(ring, lambda r, k: ring.val(b - r * (r + a)) >= 2 * k, bound)
+    m = len(chain) - 1
+    return m, (None if m == 0 and case == "case22" else scale * chain[m])
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +523,18 @@ def to_canonical(ring, A: Mat2):
     f = A.char_poly()
     fact = quad_factor(f, ring)
     chain = []
-    if fact.reducible:
-        form = _classify_reducible(ring, A, f, fact, chain)
-    else:
-        branch = _branch(ring, f)
-        if branch[0] == "insep":
-            form = _classify_insep(ring, A, f, chain)
+    try:
+        if fact.reducible:
+            form = _classify_reducible(ring, A, f, fact, chain)
         else:
-            form = _classify_irreducible(ring, A, f, branch, chain)
+            branch = _branch(ring, f)
+            if branch[0] == "insep":
+                form = _classify_insep(ring, A, f, chain)
+            else:
+                form = _classify_irreducible(ring, A, f, branch, chain)
+    except NotIntegral as exc:
+        # A is integral, so a move that leaves R is a defect of the library
+        raise InvariantViolation(f"a classification move left R: {exc}") from exc
     U = reduce(lambda U, sigma: sigma @ U, chain)
     try:
         C = canonical_matrix(form)
@@ -538,7 +580,7 @@ def canonical_matrix(form) -> Mat2:
         if not tau:
             if lam1 != lam2:
                 raise InvalidParams("tau = 0 is reserved for the scalar class")
-        elif tau != pi_pow(ring, ring.val(tau)):
+        elif ring.val(tau) < 0 or tau != pi_pow(ring, ring.val(tau)):
             raise InvalidParams("tau must be a power of the uniformizer")
         out = Mat2(ring, [[lam1, tau], [ring.zero, lam2]])
         if out.char_poly() != f:
@@ -551,12 +593,12 @@ def canonical_matrix(form) -> Mat2:
         raise InvalidParams(f"{type(form).__name__} is not a form of the {name} branch of f")
     # every irreducible class is theta on a basis (g1, c + theta)
     if isinstance(form, Insep):
-        if not form.s or form.u * form.u + form.s * pi_pow(ring, form.i) != f.b:
-            raise InvalidParams("need s != 0 and u^2 + s*pi^i = b")
+        if form.i < 0 or not form.s or form.u * form.u + form.s * pi_pow(ring, form.i) != f.b:
+            raise InvalidParams("need i >= 0, s != 0 and u^2 + s*pi^i = b")
         g1, c = form.s, form.u
     elif isinstance(form, (Case1, Char2Sep)):
-        if ring.val(f.b - form.r * (form.r + f.a)) < 2 * form.i or form.i > ring.val(f.a):
-            raise InvalidParams("need v(b - r(r+a)) >= 2i and i <= v(a)")
+        if not 0 <= form.i <= ring.val(f.a) or ring.val(f.b - form.r * (form.r + f.a)) < 2 * form.i:
+            raise InvalidParams("need v(b - r(r+a)) >= 2i and 0 <= i <= v(a)")
         g1, c = pi_pow(ring, form.i), form.r
     elif isinstance(form, Case22Extra):
         if not 1 <= form.i <= ring.val_of_two():
@@ -593,12 +635,9 @@ def class_list(ring, f: MonicPoly, insep_bound: int | None = None):
     if name == "insep":
         if insep_bound is None:
             raise InsepBoundRequired("inseparable family needs an index bound")
-        out = []
-        for i in range(insep_bound + 1):
-            params = _insep_params(ring, f.b, i)
-            if params is not None:
-                out.append(Insep(f, i, params[0], params[1]))
-        return out
+        b = f.b
+        chain = _insep_chain(ring, b, insep_bound)
+        return [Insep(f, i, u, (b - u * u) / pi_pow(ring, i)) for i, u in enumerate(chain)]
     if name in _SEP_FORMS:
         m, r = compute_m(ring, f, name)
         return [_SEP_FORMS[name](f, r, i) for i in range(m + 1)]

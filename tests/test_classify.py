@@ -17,6 +17,7 @@ from matsim.classify import (
     classify,
     compute_m,
     ideal_reps,
+    pi_pow,
     reducible_normalize,
     similar,
     triangularize,
@@ -96,6 +97,18 @@ class TestCanonicalMatrix:
             canonical_matrix(Case22Main(f, 3))  # index out of range
         with pytest.raises(InvalidParams):
             canonical_matrix(Insep(quad(F2, 0, F2.parse("t^3")), 1, F2.one, F2.one))
+
+    def test_negative_exponents_are_invalid(self):
+        # each form below once reached pi^k with k < 0
+        t = F2.parse("t")
+        with pytest.raises(InvalidParams):
+            canonical_matrix(Reducible(quad(Z2, 2, -1), Z2.one, Z2.one, Z2.coerce(Fraction(1, 2))))
+        with pytest.raises(InvalidParams):
+            canonical_matrix(Char2Sep(quad(F2, t, t), F2.zero, -1))
+        with pytest.raises(InvalidParams):
+            canonical_matrix(Insep(quad(F2, 0, F2.parse("t^3")), -1, F2.zero, F2.parse("t^3")))
+        with pytest.raises(ValueError):
+            pi_pow(Z2, -1)
 
 
 class TestComputeM:
@@ -469,6 +482,14 @@ CORRUPTED_STEPS = {
         "A = C.Mat2(R, [[1, 1], [0, 4]])\n"
         "real = C.reducible_normalize\n"
         "C.reducible_normalize = lambda ring, *args: real(ring, *args) + C.pi_pow(ring, 9)\n"
+    ),
+    # tau/pi makes the shear to the canonical tau leave R: the move itself
+    # raises NotIntegral, which must surface as a defect of the library too
+    "move-leaves-R": (
+        "R = ZLoc(3)\n"
+        "A = C.Mat2(R, [[1, 0], [0, 4]])\n"
+        "real = C.reducible_normalize\n"
+        "C.reducible_normalize = lambda ring, *args: real(ring, *args) / ring.uniformizer()\n"
     ),
     # s + 1 breaks u^2 + s*pi^i = b
     "insep": (
