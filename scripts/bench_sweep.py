@@ -31,6 +31,15 @@ shared machine hits them alike.  Families (``--family``, default all):
   reclassifies to its form); a wrong answer stops the sweep.  The DEEP
   cases run on the last ``--tree`` only: a residue enumeration would take
   years there.
+* ``oracle``: ``conj_search_mod`` at level N over ZLoc(3), for a similar
+  pair (x^2 - 18's first class and a conjugate of it) and a non-similar one
+  (its two classes), at N = 3, 4, 5; each row after the first of its pair
+  kind also gives the growth factor per level against the one before.  The
+  DEEP cases, on the last ``--tree`` only (the listing grew x12 per level),
+  are N = 10, 20, 40 over ZLoc(3) and N = 20 over the Eisenstein extension
+  w^2 = t of FpTLoc(2), where the non-similar pair differs in trace by
+  pi^(N-1).  A witness must pass ``check_mod`` and a non-similar pair must
+  give None, or the sweep stops.
 
 ``--e2e`` instead runs ``bench/run.py --trace 0`` unchanged (its own run
 length) in each tree, ``--pairs`` times: pair i uses seed
@@ -63,6 +72,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
+FAMILIES = ("arith", "witness", "gc", "search", "oracle")
 SEARCH_REPEATS = 5
 BENCH_TIMEOUT_S = 900  # bench/run.py: its worker, five set-up runs, and tracing
 
@@ -145,6 +155,38 @@ for _ in range(repeats):
 print(json.dumps(times))
 """
 
+ORACLE = """
+import json, sys, time
+from matsim.classify import Mat2, pi_pow
+from matsim.oracle import conj_search_mod, quotient_size
+from matsim.rings import FpTLoc, QuadExt, ZLoc
+kind, N, similar, repeats = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "similar", int(sys.argv[4])
+if kind == "ZLoc3":
+    ring = ZLoc(3)
+    A, other = Mat2(ring, [[0, 1], [18, 0]]), Mat2(ring, [[0, 3], [6, 0]])
+else:
+    f2 = FpTLoc(2)
+    ring = QuadExt(f2, 0, f2.uniformizer(), "eisenstein")
+    w = ring.gen()
+    A = Mat2(ring, [[w, 1], [f2.uniformizer(), 0]])
+    other = Mat2(ring, [[A[0][0] + pi_pow(ring, N - 1), A[0][1]], [A[1][0], A[1][1]]])
+V = Mat2(ring, [[1, 1], [1, 2]])
+B = (V @ A) @ V.inv() if similar else other
+budget = quotient_size(ring, N) ** 4
+times = []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    found = conj_search_mod(ring, A, B, N, budget)
+    times.append(time.perf_counter() - t0)
+    if (found is not None) != similar or (found is not None and not found.check_mod(ring, A, B)):
+        raise SystemExit("wrong oracle answer")
+print(json.dumps(times))
+"""
+
+# (ring, N): the DEEP ones on the last tree only
+ORACLE_CASES = [("ZLoc3", 3), ("ZLoc3", 4), ("ZLoc3", 5)]
+DEEP_ORACLE_CASES = [("ZLoc3", 10), ("ZLoc3", 20), ("ZLoc3", 40), ("EisenF2", 20)]
+
 # (kind, size, level): Char2Sep (v(a), m), Insep (bound, s)
 SEARCH_CASES = [("char2sep", k, 1) for k in range(3, 8)] + [("insep", n, 1) for n in range(8, 15)]
 DEEP_SEARCH_CASES = [("char2sep", 16, 1), ("char2sep", 64, 1), ("char2sep", 64, 64), ("insep", 60, 121),
@@ -167,6 +209,11 @@ def cases(families):
             for kind, size, level in group:
                 label = f"va{size}-m{level}" if kind == "char2sep" else f"bound{size}-s{level}"
                 yield f"search/{kind}/{label}", SEARCH, [kind, size, level, SEARCH_REPEATS], deep
+    if "oracle" in families:
+        for deep, group in ((False, ORACLE_CASES), (True, DEEP_ORACLE_CASES)):
+            for ring, N in group:
+                for pair in ("similar", "nonsimilar"):
+                    yield f"oracle/{ring}/{pair}/N{N}", ORACLE, [ring, N, pair, SEARCH_REPEATS], deep
 
 
 def run_case(tree, code, args):
@@ -190,8 +237,23 @@ def sweep(trees, families):
         order = trees[-1:] if deep else (trees if idx % 2 == 0 else trees[::-1])
         row = {tree.name: summary(run_case(tree, code, case_args)) for tree in order}
         out[name] = {tree.name: row[tree.name] for tree in trees if tree.name in row}
+        add_growth(out, name)
         print(name, "  ".join(f"{r['median']:.6g}" for r in out[name].values()), file=sys.stderr)
     return out
+
+
+def add_growth(out, name):
+    """For an oracle row at level N, each tree's factor per level against the
+    row of the same ring and pair at the highest lower level that ran on it."""
+    group, sep, level = name.rpartition("/N")
+    if not name.startswith("oracle/") or not sep:
+        return
+    lower = [(int(k.rpartition("/N")[2]), k) for k in out if k.startswith(group + "/N")]
+    for tree, row in out[name].items():
+        prev = max(((n, k) for n, k in lower if n < int(level) and tree in out[k]), default=None)
+        if prev is not None:
+            ratio = row["median"] / out[prev[1]][tree]["median"]
+            row["growth_per_level"] = ratio ** (1 / (int(level) - prev[0]))
 
 
 def run_bench(tree, workload, seed, trace):
@@ -266,7 +328,7 @@ def cpu_model():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", type=Path, help="matsim checkout (repeatable)")
-    ap.add_argument("--family", action="append", choices=("arith", "witness", "gc", "search"))
+    ap.add_argument("--family", action="append", choices=FAMILIES)
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--e2e", metavar="WORKLOAD", help="run bench/run.py pairs instead of the sweep")
     mode.add_argument("--traced", metavar="WORKLOAD", help="run traced bench/run.py per seed and tree")
@@ -289,7 +351,7 @@ def main(argv=None):
         out[section] = {key: (e2e if args.e2e else traced)(trees, args.e2e or args.traced, seeds)}
     else:
         section = "cases"
-        out[section] = sweep(trees, args.family or ("arith", "witness", "gc", "search"))
+        out[section] = sweep(trees, args.family or FAMILIES)
     print(json.dumps(out, indent=1))
     if args.out:
         merged = json.loads(args.out.read_text()) if args.out.exists() else out

@@ -655,7 +655,9 @@ def class_number(ring, f: MonicPoly, insep_bound: int = 10):
         raise ReduciblePoly("class_number expects an irreducible quadratic")
     name, _, vd = _branch(ring, f)
     if name == "insep":
-        return LowerBound(len(class_list(ring, f, insep_bound)))
+        if insep_bound is None:
+            raise InsepBoundRequired("inseparable family needs an index bound")
+        return LowerBound(len(_insep_chain(ring, f.b, insep_bound)))
     if name in _SEP_FORMS:
         return compute_m(ring, f, name)[0] + 1
     if name == "case22":

@@ -1,6 +1,6 @@
-"""Small exact linear algebra over Z and GF(p)[t]: HNF, SNF, kernels.
+"""Small exact linear algebra over Z and GF(p)[t]: HNF, Howell echelon, kernels.
 
-Everything here works on tiny matrices (at most 8x8), so the simple
+Everything here works on tiny matrices (at most 8x16), so the simple
 textbook algorithms are used throughout.  The Hermite form convention is
 row-style upper echelon with positive pivots and entries above each pivot
 reduced into [0, pivot).
@@ -141,128 +141,53 @@ def field_solve(M, rhs=()):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z or GF(p)[t]
+# Howell echelon over Z/p^H or GF(p)[t]/(t^H)
 
 
-class _ZDom:
-    @staticmethod
-    def is_zero(x):
-        return x == 0
+def howell_form(rows, p, H):
+    """Echelon rows of the span of ``rows`` in S^n, S = Z/p^H (int entries)
+    or GF(p)[t]/(t^H) (FpPoly entries), with the Howell property: for every
+    column k, the rows that lead at k or later span every element of the
+    span that is zero before column k (Howell, "Spans in the module
+    (Z_m)^s", 1986; Storjohann and Mulders, ESA 1998).
 
-    @staticmethod
-    def size(x):
-        return abs(x)
-
-    @staticmethod
-    def normalize(x):
-        return (-x, -1) if x < 0 else (x, 1)
-
-
-class _PolyDom:
-    @staticmethod
-    def is_zero(x):
-        return x.is_zero()
-
-    @staticmethod
-    def size(x):
-        return x.degree + 1
-
-    @staticmethod
-    def normalize(x):
-        if x.is_zero():
-            return x, 1
-        lead = x.lead()
-        if lead == 1:
-            return x, 1
-        inv = pow(lead, -1, x.p)
-        return x * inv, inv
-
-
-def smith_normal_form(rows):
-    """(D, U, V) with U*M*V = D diagonal, U and V unimodular.
-
-    The entries are all ints or all FpPoly; the domain follows their type.
+    S is a chain ring, so at each column the row of least valuation is the
+    pivot: scaled to lead with pi^j exactly (pi = p or t), it clears the
+    column from every other row, and pi^(H-j) times it, zero at the pivot,
+    rejoins the rows still to be reduced.  Returns [(column, j, row)] with
+    entries reduced into S, in column order.
     """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    dom = _PolyDom if nr and nc and isinstance(m[0][0], FpPoly) else _ZDom
-    U = _ident_like(m, nr)
-    V = _ident_like(m, nc)
-    t = 0
-    while t < min(nr, nc):
-        piv = _smallest_nonzero(m, t, dom)
-        if piv is None:
-            break
-        changed = True
-        while changed:
-            changed = False
-            piv = _smallest_nonzero(m, t, dom)
-            i0, j0 = piv
-            _swap_rows(m, U, t, i0)
-            _swap_cols(m, V, t, j0)
-            for i in range(t + 1, nr):
-                if not dom.is_zero(m[i][t]):
-                    q = m[i][t] // m[t][t]
-                    _row_op(m, U, i, t, q)
-                    if not dom.is_zero(m[i][t]):
-                        changed = True
-            for j in range(t + 1, nc):
-                if not dom.is_zero(m[t][j]):
-                    q = m[t][j] // m[t][t]
-                    _col_op(m, V, j, t, q)
-                    if not dom.is_zero(m[t][j]):
-                        changed = True
-        t += 1
-    # normalize diagonal units (sign / leading coefficient)
-    for i in range(min(nr, nc)):
-        d, unit = dom.normalize(m[i][i])
-        if unit != 1:
-            for j in range(nc):
-                m[i][j] = m[i][j] * unit
-            for j in range(nr):
-                U[i][j] = U[i][j] * unit
-    return m, U, V
+    if rows and isinstance(rows[0][0], FpPoly):
+        reduce, order = lambda x: x.truncate(H), FpPoly.order
+        inverse, power = lambda u: u.inverse_mod_t_power(H), lambda j: FpPoly.t_power(p, j)
+    else:
+        mod = p**H
+        reduce, order = lambda x: x % mod, lambda x: _int_order(x, p)
+        inverse, power = lambda u: pow(u, -1, mod), p.__pow__
+    todo = [r for r in ([reduce(x) for x in row] for row in rows) if any(r)]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        live = [r for r in todo if r[col]]
+        if not live:
+            continue
+        piv = min(live, key=lambda r: order(r[col]))
+        todo.remove(piv)
+        j = order(piv[col])
+        pj = power(j)
+        u = inverse(piv[col] // pj)
+        piv = [reduce(x * u) for x in piv]
+        todo = [[reduce(x - r[col] // pj * y) for x, y in zip(r, piv)] if r[col] else r for r in todo]
+        if j:
+            todo.append([reduce(x * power(H - j)) for x in piv])
+        todo = [r for r in todo if any(r)]
+        out.append((col, j, piv))
+    return out
 
 
-def _ident_like(m, n):
-    if m and m[0] and isinstance(m[0][0], FpPoly):
-        p = m[0][0].p
-        return [[FpPoly.const(p, int(i == j)) for j in range(n)] for i in range(n)]
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _smallest_nonzero(m, t, dom):
-    best = None
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0])):
-            if not dom.is_zero(m[i][j]):
-                if best is None or dom.size(m[i][j]) < dom.size(m[best[0]][best[1]]):
-                    best = (i, j)
-    return best
-
-
-def _swap_rows(m, U, i, j):
-    if i != j:
-        m[i], m[j] = m[j], m[i]
-        U[i], U[j] = U[j], U[i]
-
-
-def _swap_cols(m, V, i, j):
-    if i != j:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-
-def _row_op(m, U, i, t, q):
-    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-    U[i] = [a - q * b for a, b in zip(U[i], U[t])]
-
-
-def _col_op(m, V, j, t, q):
-    for row in m:
-        row[j] = row[j] - q * row[t]
-    for row in V:
-        row[j] = row[j] - q * row[t]
+def _int_order(x, p):
+    """The p-adic valuation of a nonzero int."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v

@@ -1,28 +1,32 @@
-"""Independent brute-force verification over finite quotients R/pi^N.
+"""Independent verification over finite quotients R/pi^N.
 
 The conjugacy search is deliberately one-sided: absence of a unit-determinant
 solution of U*A = B*U modulo pi^N proves the matrices are not similar over R,
 while a mod-pi^N witness proves nothing (no effective bound is computed).
 Exact witnesses always carry the positive direction.
 
-The search space (R/pi^N)^(2x2) is never materialized: the congruence is a
-linear system over the base Euclidean domain (Z or GF(p)[t]), so the solution
-set is enumerated from a Smith normal form.  Each entry of the unknown matrix
-is one unknown over ZLoc or FpTLoc and two over a quadratic extension (the
-coordinates x, y of x + y*w); one solver serves both.  The result is
-identical to the naive enumeration (cross-checked in the tests) and
-deterministic: candidates are reported in the canonical element order.
+Neither the search space (R/pi^N)^(2x2) nor the solution set is listed.  The
+congruence is linear over the base ring (Z or GF(p)[t]): each entry of the
+unknown matrix is one base coordinate over ZLoc or FpTLoc and two over a
+quadratic extension (x, y of x + y*w).  Its solutions form a module, put
+into a Howell echelon with the coordinates in the order of ``sort_key``
+(entry by entry, x before y).  A digit search then fixes the coordinates
+one at a time: at a pivot pi^j it keeps the least digit tau whose candidate
+c + pi^j*tau still has a unit-determinant completion, a question about at
+most q^4 points modulo pi (q = |R/pi|).  The result is the canonical-first
+witness of the literal search over (R/pi^N)^(2x2) (cross-checked in the
+tests against the listing it replaced), and it is checked once before it is
+returned.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .classify import Mat2, pi_pow
 from .errors import BudgetExceeded, invariant
-from .intlin import smith_normal_form
+from .intlin import howell_form
 from .rings import QuadExt
 
 DEFAULT_BUDGET = 10**7
@@ -30,13 +34,6 @@ DEFAULT_BUDGET = 10**7
 
 def quotient_size(ring, N: int) -> int:
     return ring.p ** sum(ring.levels(N))
-
-
-def enumerate_quotient(ring, N: int, budget: int = DEFAULT_BUDGET):
-    """All canonical representatives of R/pi^N, in the deterministic order."""
-    if quotient_size(ring, N) > budget:
-        raise BudgetExceeded(f"{quotient_size(ring, N)} residues exceed budget {budget}")
-    return list(ring.residues(N))
 
 
 def mat_congruent_mod(ring, X: Mat2, Y: Mat2, N: int) -> bool:
@@ -62,80 +59,79 @@ class ResidueWitness:
 
 
 def conj_search_mod(ring, A: Mat2, B: Mat2, N: int, budget: int = DEFAULT_BUDGET):
-    """Exhaustive search for U in (R/pi^N)^(2x2), det a unit, U*A = B*U mod pi^N.
+    """The first U in (R/pi^N)^(2x2) in the canonical order with U*A = B*U
+    mod pi^N and a unit determinant, or None.
 
-    Returns the first witness in the canonical order, or None.  Raises
-    BudgetExceeded when the declared search space (|R/pi^N|^4) or the actual
-    solution set exceeds the budget.
+    Raises BudgetExceeded when the declared search space |R/pi^N|^4 exceeds
+    the budget, although the digit search costs at most 4*d*p tests of at
+    most q^4 points each at any N (d coordinates per entry).
     """
     space = quotient_size(ring, N) ** 4
     if space > budget:
         raise BudgetExceeded(f"search space {space} exceeds budget {budget}")
-    candidates = _solve_congruence(ring, A, B, N, budget)
-    hits = []
-    for U in candidates:
-        if ring.val(U.det()) != 0:
-            continue
-        invariant(mat_congruent_mod(ring, U @ A, B @ U, N), "a kernel solution fails U*A = B*U mod pi^N")
-        key = tuple(ring.sort_key(U[i][j]) for i in range(2) for j in range(2))
-        hits.append((key, U))
-    if not hits:
+    U = _least_unit(ring, _solve_congruence(ring, A, B, N, budget), N)
+    if U is None:
         return None
-    hits.sort(key=lambda kv: kv[0])
-    return ResidueWitness(hits[0][1], N)
-
-
-def conj_search_naive(ring, A: Mat2, B: Mat2, N: int, budget: int = DEFAULT_BUDGET):
-    """Reference implementation: literally enumerate all candidate matrices."""
-    space = quotient_size(ring, N) ** 4
-    if space > budget:
-        raise BudgetExceeded(f"search space {space} exceeds budget {budget}")
-    reps = list(ring.residues(N))
-    best = None
-    for a in reps:
-        for b in reps:
-            for c in reps:
-                for d in reps:
-                    U = Mat2(ring, [[a, b], [c, d]])
-                    if ring.val(U.det()) != 0:
-                        continue
-                    if mat_congruent_mod(ring, U @ A, B @ U, N):
-                        key = tuple(
-                            ring.sort_key(U[i][j]) for i in range(2) for j in range(2)
-                        )
-                        if best is None or key < best[0]:
-                            best = (key, U)
-    return None if best is None else ResidueWitness(best[1], N)
+    found = ResidueWitness(U, N)
+    invariant(found.check_mod(ring, A, B), "the digit search returned U with U*A != B*U or det U not a unit")
+    return found
 
 
 # ---------------------------------------------------------------------------
-# the congruence as a linear system over the base Euclidean domain
+# the congruence as a module over the base ring, and the digit search on it
+
+
+class _Frame:
+    """Matrices over R/pi^N as vectors of base coordinates: entry by entry,
+    x before y in an extension, the order of ``sort_key``.  Coordinate k
+    matters modulo pi_base^L_k only (L = ``ring.levels(N)``); it is stored
+    times pi^(H - L_k), H = max(L), so that every coordinate lives in
+    R_base/pi^H, with its order kept."""
+
+    def __init__(self, ring, N):
+        self.ring = ring
+        if isinstance(ring, QuadExt):
+            self.base, self.basis, self.lift = ring.base, (ring.one, ring.gen()), ring.lift
+            self.coords = lambda c: (c.x, c.y)
+        else:
+            self.base, self.basis, self.lift = ring, (ring.one,), lambda code: ring.lift(code[0])
+            self.coords = lambda c: (c,)
+        levels = ring.levels(N)
+        self.d, self.H = len(levels), max(levels)
+        self.pows = _pi_powers(self.base, max(self.H, 1))
+        self.levels = levels * 4
+        self.scale = [self.pows[self.H - L] for L in self.levels]
+
+    def vector(self, X):
+        entries = (e for row in X.rows for x in row for e in self.coords(x))
+        return [self.base.residue(e, L) * s for e, L, s in zip(entries, self.levels, self.scale)]
+
+    def matrix(self, y):
+        x = [a // s for a, s in zip(y, self.scale)]
+        entries = [self.lift(x[i : i + self.d]) for i in range(0, len(x), self.d)]
+        # lifts of residues: integral by construction
+        return Mat2(self.ring, [entries[:2], entries[2:]], check_integral=False)
 
 
 def _solve_congruence(ring, A, B, N, budget):
-    """All X over R/pi^N with X*A = B*X mod pi^N, as canonically lifted Mat2.
+    """Generators of the module of X over R/pi^N with X*A = B*X mod pi^N, as
+    canonically lifted Mat2, in Howell echelon order (the declared space is
+    budgeted by conj_search_mod).
 
-    The unknowns are the base coordinates of the four entries of X in the
-    basis (1) of a base ring or (1, w) of an extension, and coordinate k
-    matters modulo pi_base^levels[k] only (``ring.levels(N)``).
-    Multiplication by c acts on the coordinates of one entry by the block
-    whose column g holds the coordinates of c*g.  Solutions are reduced
-    coordinate by coordinate modulo their levels, deduplicated, then lifted.
+    The unknowns are the coordinates of ``_Frame``.  Multiplication by c
+    acts on the coordinates of one entry by the block whose column g holds
+    the coordinates of c*g.  The generator of unknown k is (column k of the
+    system | pi^(H - L_k) e_k), and the rows of its Howell echelon that
+    vanish on the system's part span the scaled solutions.
     """
-    levels = ring.levels(N)
-    if isinstance(ring, QuadExt):
-        base, basis, lift = ring.base, (ring.one, ring.gen()), ring.lift
-        coords = lambda c: (c.x, c.y)
-    else:
-        base, basis, lift = ring, (ring.one,), lambda code: ring.lift(code[0])
-        coords = lambda c: (c,)
-    d, H = len(levels), max(levels)
-    pows = _pi_powers(base, H)
+    fr = _Frame(ring, N)
+    base, d, H, pows = fr.base, fr.d, fr.H, fr.pows
+    n = 4 * d
     zero = pows[0] - pows[0]
 
     def block(c):
         # block[g][k]: coordinate k of c*g
-        return [[base.residue(e, H) for e in coords(c * g)] for g in basis]
+        return [[base.residue(e, H) for e in fr.coords(c * g)] for g in fr.basis]
 
     bA = [[block(A[r][c]) for c in range(2)] for r in range(2)]
     bB = [[block(B[r][c]) for c in range(2)] for r in range(2)]
@@ -150,18 +146,10 @@ def _solve_congruence(ring, A, B, N, budget):
                 e = e + bA[c][j][g][k]
             if c == j:
                 e = e - bB[i][r][g][k]
-            row.append(pows[H - levels[k]] * e)
+            row.append(fr.scale[k] * e)
         rows.append(row)
-    mods = [pows[n] for n in levels] * 4
-    reduced = dict.fromkeys(
-        tuple(map(operator.mod, x, mods)) for x in _kernel_mod(base, rows, pows, budget)
-    )
-    out = []
-    for x in reduced:
-        entries = [lift(x[s : s + d]) for s in range(0, 4 * d, d)]
-        # lifts of residues: integral by construction
-        out.append(Mat2(ring, [entries[:2], entries[2:]], check_integral=False))
-    return out
+    gens = [[eq[u] for eq in rows] + [fr.scale[u] if v == u else zero for v in range(n)] for u in range(n)]
+    return [fr.matrix(row[n:]) for col, _, row in howell_form(gens, base.p, H) if col >= n]
 
 
 def _pi_powers(base, H):
@@ -173,34 +161,72 @@ def _pi_powers(base, H):
     return pows
 
 
-def _kernel_mod(base, rows, pows, budget):
-    """One x in each class mod pows[H] of solutions of rows * x = 0 mod pows[H].
+def _least_unit(ring, gens, N):
+    """The first X in the canonical order with a unit determinant among the
+    R-combinations of the Mat2 ``gens`` modulo pi^N, or None.
 
-    With U * rows * V = D, x = V * z where z_i runs over pi^(H - f_i) times
-    the residues mod pi^(f_i) (``base.codes(f_i)``), f_i = min(v(D_ii), H).
+    The scaled coordinates of ``_Frame`` are put into a Howell echelon and
+    fixed in order.  At the row that leads at coordinate k with pi^j, the
+    values left for that coordinate are c + pi^j*t, c the current value mod
+    pi^j.  Whether some completion has a unit determinant depends on the
+    image mod pi only, which is (current X + t*row + the span of the later
+    rows) mod pi: it depends on the digit tau = t mod pi, and the span of
+    the later rows holds every completion by the Howell property.  The
+    least value of the class of tau is c + pi^j*tau in both element orders
+    (numeric over Z, from the constant coefficient over GF(p)[t]), so the
+    least feasible tau gives the least coordinate.
     """
-    H = len(pows) - 1
-    D, _, V = smith_normal_form(rows)
-    free = [min(base.val(D[i][i]), H) for i in range(len(D))]
-    count = base.p ** sum(free)
-    if count > budget:
-        raise BudgetExceeded(f"solution set of size {count} exceeds budget {budget}")
-    # z_i * (column i of V) for every value of z_i, so x is a sum of one
-    # step per free column
-    steps = []
-    for i, f in enumerate(free):
-        if f:
-            col = [row[i] * pows[H - f] % pows[H] for row in V]
-            steps.append([[b * z for b in col] for z in base.codes(f)])
+    fr = _Frame(ring, N)
+    base, d, H, pows, p = fr.base, fr.d, fr.H, fr.pows, ring.p
+    echelon = howell_form([fr.vector(G) for G in gens], p, H)
 
-    def extend(i, x):
-        if i == len(steps):
-            yield x
-            return
-        for step in steps[i]:
-            yield from extend(i + 1, [a + b for a, b in zip(x, step)])
+    # modulo pi: the coordinates g with levels(1)[g] = 1 of each entry, as
+    # digits mod p, and the products of those basis elements mod pi
+    live = [g for g in range(d) if ring.levels(1)[g]]
+    surv = [k for k in range(4 * d) if k % d in live]
+    digits = lambda c: [int(base.residue(fr.coords(c)[i], 1)) for i in live]
+    table = [[digits(fr.basis[g] * fr.basis[h]) for h in live] for g in live]
+    m = len(live)
 
-    yield from extend(0, [pows[0] - pows[0]] * len(V))
+    def image(y):
+        return tuple(int(y[k] // fr.scale[k] % pows[1]) for k in surv)
+
+    def mul(a, b):
+        out = [0] * m
+        for g, x in enumerate(a):
+            for h, y in enumerate(b):
+                if x and y:
+                    for i, c in enumerate(table[g][h]):
+                        out[i] += x * y * c
+        return out
+
+    def unit(z):
+        e = [z[i : i + m] for i in range(0, 4 * m, m)]
+        return any((u - v) % p for u, v in zip(mul(e[0], e[3]), mul(e[1], e[2])))
+
+    def feasible(y, span):
+        return any(unit(tuple((a + b) % p for a, b in zip(y, v))) for v in span)
+
+    imgs = [image(row) for _, _, row in echelon]
+    spans = [{(0,) * len(surv)}]  # spans of the images of the rows i, i + 1, ..., built backwards
+    for img in reversed(imgs):
+        span = spans[-1]
+        if img not in span:
+            span = {tuple((a + c * b) % p for a, b in zip(v, img)) for v in span for c in range(p)}
+        spans.append(span)
+    spans.reverse()
+    x, img = [pows[0] - pows[0]] * (4 * d), (0,) * len(surv)
+    if not feasible(img, spans[0]):
+        return None
+    for i, (k, j, row) in enumerate(echelon):
+        c = x[k] % pows[j]
+        steps = ((c - x[k]) // pows[j] + pows[0] * tau for tau in range(p))
+        options = ((t, tuple((a + int(t % pows[1]) * b) % p for a, b in zip(img, imgs[i]))) for t in steps)
+        found = next((o for o in options if feasible(o[1], spans[i + 1])), None)
+        invariant(found is not None, "no digit keeps a unit determinant within reach")
+        t, img = found
+        x = [(a + t * b) % pows[H] for a, b in zip(x, row)]
+    return fr.matrix(x)
 
 
 # ---------------------------------------------------------------------------

@@ -378,17 +378,18 @@ def _as_solve_f2t(c: FpRat):
     bound = max(v.degree, n.degree, 0)
     ncols = bound + 1
     nrows = max(2 * bound, bound + v.degree, n.degree) + 1
-    rows = [[0] * ncols for _ in range(nrows)]
-    rhs = [0] * nrows
+    # row k of U^2 + U*V = num(c), the coefficient of t^k: bit i for the
+    # unknown coefficient u_i of U, bit ncols for the right-hand side
+    aug = [0] * nrows
+    vbits = [j for j, vc in enumerate(v.coeffs) if vc]
     for i in range(ncols):
-        rows[2 * i][i] ^= 1  # U^2 term
-        for j, vc in enumerate(v.coeffs):
-            if vc:
-                rows[i + j][i] ^= 1  # U*V term
+        aug[2 * i] ^= 1 << i  # U^2 term
+        for j in vbits:
+            aug[i + j] ^= 1 << i  # U*V term
     for j, nc in enumerate(n.coeffs):
         if nc:
-            rhs[j] ^= 1
-    sol = _solve_gf2(rows, rhs)
+            aug[j] ^= 1 << ncols
+    sol = _solve_gf2(aug, ncols)
     if sol is None:
         return None
     u = FpPoly(2, sol)
@@ -397,31 +398,37 @@ def _as_solve_f2t(c: FpRat):
     return z
 
 
-def _solve_gf2(rows, rhs):
-    """Gaussian elimination over GF(2); one solution or None."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [rows[i][:] + [rhs[i]] for i in range(nrows)]
+def _solve_gf2(aug, ncols):
+    """Gauss-Jordan elimination over GF(2); one solution or None.
+
+    Row i is the int aug[i]: bit j holds the coefficient of unknown j and
+    bit ncols the right-hand side, so a row operation is one XOR.  Free
+    unknowns are set to 0.
+    """
+    aug = list(aug)
+    nrows = len(aug)
     pivots = []
     r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][col]), None)
+        bit = 1 << col
+        piv = next((i for i in range(r, nrows) if aug[i] & bit), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
+        row = aug[r]
         for i in range(nrows):
-            if i != r and aug[i][col]:
-                aug[i] = [x ^ y for x, y in zip(aug[i], aug[r])]
+            if i != r and aug[i] & bit:
+                aug[i] ^= row
         pivots.append(col)
         r += 1
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
+    # the rows below the pivots have no coefficient left: 0 = rhs
+    if any(aug[i] >> ncols for i in range(r, nrows)):
+        return None
     sol = [0] * ncols
     for i, col in enumerate(pivots):
-        sol[col] = aug[i][ncols]
+        sol[col] = aug[i] >> ncols
     return sol
 
 

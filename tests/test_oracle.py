@@ -1,14 +1,19 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matsim.classify import Mat2, canonical_matrix, class_list, pi_pow, similar, witness
+import legacy_oracle as old
+from legacy_oracle import conj_search_naive, enumerate_quotient
+from matsim.classify import Mat2, canonical_matrix, class_list, pi_pow, reduce_mod, similar, witness
 from matsim.errors import BudgetExceeded
+from matsim.fppoly import FpPoly
+from matsim.intlin import howell_form
 from matsim.oracle import (
     _solve_congruence,
     conj_search_mod,
-    conj_search_naive,
-    enumerate_quotient,
     level_collapse_check,
     mat_congruent_mod,
     quotient_size,
@@ -16,7 +21,7 @@ from matsim.oracle import (
 from matsim.polys import MonicPoly
 from matsim.rings import FpTLoc, QuadExt, ZLoc
 
-from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
+from conftest import SEED, all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
@@ -115,9 +120,35 @@ def _literal_solution_keys(ring, A, B, N):
     return sorted(keys)
 
 
-@pytest.mark.parametrize(
-    "ring", all_instances() + [EISEN_F2], ids=instance_ids() + ["EisenF2"]
-)
+def _additive_closure(zero, gens, add):
+    """The subgroup generated by gens in a finite abelian group."""
+    span = {zero}
+    for g in gens:
+        if g in span:
+            continue
+        coset = span
+        while True:  # span + k*g for k = 1, 2, ... until it is span again
+            coset = {add(X, g) for X in coset}
+            if coset <= span:
+                break
+            span = span | coset
+    return span
+
+
+def _span_keys(ring, gens, N):
+    """Sort keys of the R/pi^N-span of the Mat2 gens: the additive group
+    generated by pi^i * G, i < N, which holds every base multiple of G."""
+    red = lambda X: tuple(reduce_mod(ring, x, N) for x in X)
+    steps = [red(pi_pow(ring, i) * G[r][c] for r in range(2) for c in range(2))
+             for G, i in itertools.product(gens, range(N))]
+    span = _additive_closure(red([ring.zero] * 4), steps, lambda X, g: red(a + b for a, b in zip(X, g)))
+    return [tuple(ring.sort_key(e) for e in X) for X in span]
+
+
+RINGS7, IDS7 = all_instances() + [EISEN_F2], instance_ids() + ["EisenF2"]
+
+
+@pytest.mark.parametrize("ring", RINGS7, ids=IDS7)
 def test_solution_set_matches_enumeration(ring, rng):
     # every solution, not just the first witness, at each N <= 3 whose search
     # space stays small; N = 3 is where the Eisenstein levels (2, 1) differ
@@ -131,10 +162,86 @@ def test_solution_set_matches_enumeration(ring, rng):
         V = rand_gl2(ring, rng)
         pairs = [(A, rand_mat(ring, rng)), (A, (V @ A) @ V.inv()), (near, near)]
         for A_, B_ in pairs:
-            sols = _solve_congruence(ring, A_, B_, N, 10**7)
-            got = [tuple(ring.sort_key(U[i][j]) for i in range(2) for j in range(2)) for U in sols]
+            got = _span_keys(ring, _solve_congruence(ring, A_, B_, N, 10**7), N)
             assert len(set(got)) == len(got)
             assert sorted(got) == _literal_solution_keys(ring, A_, B_, N)
+
+
+def _near_identity(ring, rng):
+    pi = pi_pow(ring, 1)
+    return Mat2(ring, [[int(i == j) + pi * rand_integral(ring, rng) for j in range(2)] for i in range(2)])
+
+
+# the listing costs one Mat2 per solution: keep the declared space small
+LISTING_SPACE = 6 * 10**5
+
+
+@pytest.mark.parametrize("ring", RINGS7, ids=IDS7)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), N=st.integers(1, 3), kind=st.sampled_from(["random", "conjugate", "near"]))
+def test_digit_search_matches_listing(ring, seed, N, kind):
+    # the same witness, entry for entry, as the listing it replaced
+    while quotient_size(ring, N) ** 4 > LISTING_SPACE:
+        N -= 1
+    rng = random.Random(seed)
+    A = _near_identity(ring, rng) if kind == "near" else rand_mat(ring, rng)
+    if kind == "random":
+        B = rand_mat(ring, rng)
+    else:
+        V = rand_gl2(ring, rng)
+        B = (V @ A) @ V.inv()
+    new = conj_search_mod(ring, A, B, N)
+    was = old.conj_search_mod(ring, A, B, N)
+    assert (new is None) == (was is None)
+    if new is not None:
+        assert new.U == was.U
+
+
+@pytest.mark.parametrize("ring", RINGS7, ids=IDS7)
+def test_deep_level(ring, rng):
+    N = 20
+    budget = quotient_size(ring, N) ** 4
+    A = rand_mat(ring, rng)
+    V = rand_gl2(ring, rng)
+    B = (V @ A) @ V.inv()
+    found = conj_search_mod(ring, A, B, N, budget=budget)
+    assert found is not None and found.check_mod(ring, A, B)
+    # traces that differ mod pi^N: no U invertible mod pi^N conjugates them
+    shifted = Mat2(ring, [[B[0][0] + pi_pow(ring, N - 1), B[0][1]], [B[1][0], B[1][1]]])
+    assert conj_search_mod(ring, A, shifted, N, budget=budget) is None
+
+
+def _module_span(vectors, n, p, H, poly):
+    """The submodule of S^n spanned by the vectors, S = Z/p^H or GF(p)[t]/t^H:
+    the additive group generated by pi^i * v, i < H."""
+    reduce = (lambda x: x.truncate(H)) if poly else (lambda x: x % p**H)
+    power = (lambda i: FpPoly.t_power(p, i)) if poly else (lambda i: p**i)
+    red = lambda v: tuple(reduce(x) for x in v)
+    steps = [red(x * power(i) for x in v) for v, i in itertools.product(vectors, range(H))]
+    return _additive_closure(red([power(H)] * n), steps, lambda X, g: red(a + b for a, b in zip(X, g)))
+
+
+@pytest.mark.parametrize("p, H, poly", itertools.product([2, 3], [1, 2, 3], [False, True]))
+def test_howell_form_has_the_howell_property(p, H, poly):
+    rng = random.Random(SEED)
+
+    def entry():
+        c = p ** rng.randrange(H + 1) * rng.randrange(1, p**H)  # valuations 0..H, each often
+        return FpPoly(p, [c // p**i % p for i in range(2 * H)]) if poly else c
+
+    for nrows, n, _ in itertools.product(range(4), range(1, 4), range(10)):
+        rows = [[entry() for _ in range(n)] for _ in range(nrows)]
+        echelon = howell_form(rows, p, H)
+        leads = [col for col, _, _ in echelon]
+        assert leads == sorted(set(leads))
+        for col, j, row in echelon:
+            pivot = FpPoly.t_power(p, j) if poly else p**j
+            assert not any(row[:col]) and row[col] == pivot and j < H
+        full = _module_span(rows, n, p, H, poly)
+        for k in range(n + 1):
+            # the rows leading at k or later span all of the span zero before k
+            tail = _module_span([row for col, _, row in echelon if col >= k], n, p, H, poly)
+            assert tail == {v for v in full if not any(v[:k])}, (rows, k)
 
 
 class TestSoundness:

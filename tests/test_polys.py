@@ -1,12 +1,18 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import legacy_polys as old
 
 from matsim.errors import CharTwo
 from matsim.fppoly import FpPoly, FpRat
 from matsim.polys import (
     MonicPoly,
+    _solve_gf2,
     artin_schreier_solve,
     disc_quad,
     is_separable,
@@ -210,3 +216,30 @@ def test_quadratic_accessors_reject_a_cubic_under_python_O():
         "        print(name, __debug__)\n"
     )
     assert proc.stdout == "a False\nb False\n", proc.stderr
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32),
+    nrows=st.integers(1, 14),  # the list form reads ncols off its first row
+    ncols=st.integers(1, 14),
+    density=st.sampled_from([0.1, 0.5, 0.9]),
+    consistent=st.booleans(),
+)
+def test_solve_gf2_matches_list_elimination(seed, nrows, ncols, density, consistent):
+    # the packed rows give the old particular solution (same pivots, free
+    # unknowns 0), and None on the same inconsistent systems
+    rng = random.Random(seed)
+    rows = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
+    if consistent:
+        x = [rng.randrange(2) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) % 2 for row in rows]
+    else:
+        rhs = [rng.randrange(2) for _ in range(nrows)]
+    packed = [sum(bit << j for j, bit in enumerate(row + [b])) for row, b in zip(rows, rhs)]
+    got = _solve_gf2(packed, ncols)
+    assert got == old._solve_gf2(rows, rhs)
+    if consistent:
+        assert got is not None
+    if got is not None:
+        assert all(sum(a * b for a, b in zip(row, got)) % 2 == b for row, b in zip(rows, rhs))

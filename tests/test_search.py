@@ -84,6 +84,23 @@ def test_lift_matches_enumeration(ring, branches):
     assert seen == branches
 
 
+@pytest.mark.parametrize("ring, branches", zip(SEARCH_RINGS, BRANCHES), ids=SEARCH_IDS)
+def test_class_number_counts_class_list(ring, branches):
+    # the insep count comes from the lifting chain alone, without the forms
+    rng = random.Random(SEED + 1)
+    seen = set()
+    for _ in range(30):
+        f = _draw(ring, rng, 3)
+        if quad_factor(f, ring).reducible:
+            continue
+        name = C._branch(ring, f)[0]
+        for bound in (0, 2, 7):
+            count = len(class_list(ring, f, bound))
+            assert class_number(ring, f, bound) == (LowerBound(count) if name == "insep" else count), (f, bound)
+        seen.add(name)
+    assert "insep" in seen or "insep" not in branches
+
+
 def _timed(limit, fn, *args):
     t0 = perf_counter()
     out = fn(*args)
