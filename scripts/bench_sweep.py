@@ -40,6 +40,11 @@ shared machine hits them alike.  Families (``--family``, default all):
   w^2 = t of FpTLoc(2), where the non-similar pair differs in trace by
   pi^(N-1).  A witness must pass ``check_mod`` and a non-similar pair must
   give None, or the sweep stops.
+* ``principal``: ``is_principal`` on the ideal generated by 7 + y*w over
+  Z[sqrt(-5)], at y = 10^4, 10^5, 10^6; each row after the first also gives
+  the growth factor per factor of 10 in y.  The DEEP case, y = 10^30, runs
+  on the last ``--tree`` only (a box scan would try 10^30 values of y).
+  The answer must be 7 + y*w itself, or the sweep stops.
 
 ``--e2e`` instead runs ``bench/run.py --trace 0`` unchanged (its own run
 length) in each tree, ``--pairs`` times: pair i uses seed
@@ -72,7 +77,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
-FAMILIES = ("arith", "witness", "gc", "search", "oracle")
+FAMILIES = ("arith", "witness", "gc", "search", "oracle", "principal")
 SEARCH_REPEATS = 5
 BENCH_TIMEOUT_S = 900  # bench/run.py: its worker, five set-up runs, and tracing
 
@@ -183,6 +188,27 @@ for _ in range(repeats):
 print(json.dumps(times))
 """
 
+PRINCIPAL = """
+import json, sys, time
+from matsim.lattices import FracIdealR, QuadBase, is_principal
+y, repeats = 10 ** int(sys.argv[1]), int(sys.argv[2])
+base = QuadBase(-5)
+g = base.elem(7, y)
+ideal = FracIdealR.from_elems(base, [g])
+times = []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    found = is_principal(base, ideal)
+    times.append(time.perf_counter() - t0)
+    if found != g:
+        raise SystemExit("wrong generator")
+print(json.dumps(times))
+"""
+
+# log10 of y: the DEEP one on the last tree only
+PRINCIPAL_CASES = [4, 5, 6]
+DEEP_PRINCIPAL_CASES = [30]
+
 # (ring, N): the DEEP ones on the last tree only
 ORACLE_CASES = [("ZLoc3", 3), ("ZLoc3", 4), ("ZLoc3", 5)]
 DEEP_ORACLE_CASES = [("ZLoc3", 10), ("ZLoc3", 20), ("ZLoc3", 40), ("EisenF2", 20)]
@@ -214,6 +240,10 @@ def cases(families):
             for ring, N in group:
                 for pair in ("similar", "nonsimilar"):
                     yield f"oracle/{ring}/{pair}/N{N}", ORACLE, [ring, N, pair, SEARCH_REPEATS], deep
+    if "principal" in families:
+        for deep, group in ((False, PRINCIPAL_CASES), (True, DEEP_PRINCIPAL_CASES)):
+            for k in group:
+                yield f"principal/d-5/y1e{k}", PRINCIPAL, [k, SEARCH_REPEATS], deep
 
 
 def run_case(tree, code, args):
@@ -242,13 +272,19 @@ def sweep(trees, families):
     return out
 
 
+# family -> the separator before a row's level: N for oracle, log10 y for principal
+LEVELS = {"oracle": "/N", "principal": "/y1e"}
+
+
 def add_growth(out, name):
-    """For an oracle row at level N, each tree's factor per level against the
-    row of the same ring and pair at the highest lower level that ran on it."""
-    group, sep, level = name.rpartition("/N")
-    if not name.startswith("oracle/") or not sep:
+    """For an oracle or principal row at some level, each tree's factor per
+    level against the row of the same group at the highest lower level that
+    ran on it."""
+    mark = LEVELS.get(name.partition("/")[0])
+    group, sep, level = name.rpartition(mark) if mark else ("", "", "")
+    if not sep:
         return
-    lower = [(int(k.rpartition("/N")[2]), k) for k in out if k.startswith(group + "/N")]
+    lower = [(int(k.rpartition(mark)[2]), k) for k in out if k.startswith(group + mark)]
     for tree, row in out[name].items():
         prev = max(((n, k) for n, k in lower if n < int(level) and tree in out[k]), default=None)
         if prev is not None:

@@ -9,6 +9,7 @@ reduced into [0, pivot).
 from __future__ import annotations
 
 from .fppoly import FpPoly
+from .rings import _int_val
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def howell_form(rows, p, H):
         inverse, power = lambda u: u.inverse_mod_t_power(H), lambda j: FpPoly.t_power(p, j)
     else:
         mod = p**H
-        reduce, order = lambda x: x % mod, lambda x: _int_order(x, p)
+        reduce, order = lambda x: x % mod, lambda x: _int_val(x, p)
         inverse, power = lambda u: pow(u, -1, mod), p.__pow__
     todo = [r for r in ([reduce(x) for x in row] for row in rows) if any(r)]
     out = []
@@ -182,12 +183,3 @@ def howell_form(rows, p, H):
         todo = [r for r in todo if any(r)]
         out.append((col, j, piv))
     return out
-
-
-def _int_order(x, p):
-    """The p-adic valuation of a nonzero int."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v

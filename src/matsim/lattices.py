@@ -7,22 +7,27 @@ any direction x0 outside K as
     J = frak_a * (x0 + u0)  (+)  (J intersect K),
 
 so J is free over R exactly when the Steinitz ideal frak_a * (J cap K) is
-principal.  Everything is exact integer linear algebra on Hermite normal
-forms; d is restricted to squarefree d < 0 with d = 2, 3 mod 4 so that
-(1, sqrt(d)) is a Z-basis of the maximal order.
+principal, which one Gauss reduction of its norm form decides.  Everything
+else is exact integer linear algebra on Hermite normal forms; d is
+restricted to squarefree d < 0 with d = 2, 3 mod 4 so that (1, sqrt(d)) is
+a Z-basis of the maximal order, and to |d| <= 10^12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import NotFreeError, NotFullRank, UnsupportedRing, X0InBase, invariant
 from .intlin import field_solve, hnf_int, left_kernel_int, solve_int
+from .lm import gauss_reduce, norm_form
 from .polys import parse_monic_quadratic
 from .rings import QQ, ExtElem, QuadAlgebra
+
+
+_MAX_ABS_D = 10**12  # the squarefree check divides by every k <= sqrt|d|
 
 
 def _is_squarefree(n):
@@ -37,9 +42,12 @@ def _is_squarefree(n):
 
 class QuadBase(QuadAlgebra):
     """K = Q(sqrt d), w^2 = d, with the order R = Z[w] for squarefree d < 0
-    with d = 2, 3 mod 4.  Elements are ExtElem with Fraction coordinates."""
+    with d = 2, 3 mod 4 and |d| <= 10^12.  Elements are ExtElem with
+    Fraction coordinates."""
 
     def __init__(self, d: int):
+        if abs(d) > _MAX_ABS_D:
+            raise UnsupportedRing(f"need |d| <= 10^12, got d = {d}")
         if d >= 0 or not _is_squarefree(d) or d % 4 not in (2, 3):
             raise UnsupportedRing("need squarefree d < 0 with d = 2, 3 mod 4")
         super().__init__(QQ, 0, d)
@@ -85,16 +93,10 @@ class QLattice:
     @classmethod
     def from_vectors(cls, vecs):
         vecs = [tuple(Fraction(c) for c in v) for v in vecs]
-        den = 1
-        for v in vecs:
-            for c in v:
-                den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for v in vecs for c in v))
         ints = [[int(c * den) for c in v] for v in vecs]
         H = [r for r in hnf_int(ints) if any(r)]
-        g = den
-        for r in H:
-            for c in r:
-                g = gcd(g, c)
+        g = gcd(den, *(c for r in H for c in r))
         if g > 1:
             den //= g
             H = [[c // g for c in r] for r in H]
@@ -209,28 +211,26 @@ def ideal_mul(I1: FracIdealR, I2: FracIdealR) -> FracIdealR:
 
 
 def is_principal(base: QuadBase, ideal: FracIdealR):
-    """Generator of the ideal, or None.  Searches |y| <= sqrt(N/|d|) after
-    scaling to an integral ideal; norms are positive definite so the box is
-    exhaustive."""
+    """Generator of the ideal, or None.
+
+    Scaled to an integral ideal I with HNF Z-basis (u, v), every alpha in I
+    has N(alpha) >= N(I), with equality exactly when alpha*R = I.  So I is
+    principal iff the Gauss-reduced form of N(x*u + y*v)/N(I) has a = 1,
+    and then p*u + q*v is a generator, (p, q) the vector reaching a.  Of its
+    associates (times -1, and w when d = -1) the one returned has x >= 0,
+    then the least |y|, then y > 0.
+    """
     scale = ideal.den_scalar()
     integral = ideal.scaled(Fraction(scale))
-    N = integral.norm_index()
-    invariant(N.denominator == 1, "the norm of an integral ideal is an integer")
-    N = int(N)
-    dd = -base.d
-    y = 0
-    while dd * y * y <= N:
-        rem = N - dd * y * y
-        x = isqrt(rem)
-        if x * x == rem:
-            for cand in ((x, y), (x, -y)) if y else ((x, 0),):
-                alpha = base.elem(cand[0], cand[1])
-                if not alpha:
-                    continue
-                if FracIdealR.from_elems(base, [alpha], check=False) == integral:
-                    return alpha / scale
-        y += 1
-    return None
+    u, v = integral.elems()
+    reduced, ((p, q), _) = gauss_reduce(norm_form(u, v, integral.norm_index()))
+    if reduced.a != 1:
+        return None
+    g = p * u + q * v
+    units = (1, -1, base.omega, -base.omega) if base.d == -1 else (1, -1)
+    alpha = min((e * g for e in units), key=lambda a: (a.x < 0, abs(a.y), a.y < 0))
+    invariant(FracIdealR.from_elems(base, [alpha], check=False) == integral, "the generator must regenerate the ideal")
+    return alpha / scale
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +433,7 @@ def _find_u0(J: LLattice, x0: ExtElem, frak_a: FracIdealR, frak_b: FracIdealR):
     (w1, lam1), (w2, lam2) = conds
     diff = w2 - w1
     rows = [[l.x, l.y] for l in lam1] + [[l.x, l.y] for l in lam2]
-    den = 1
-    for r in rows + [[diff.x, diff.y]]:
-        for c in r:
-            den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for r in rows + [[diff.x, diff.y]] for c in r))
     irows = [[int(c * den) for c in r] for r in rows]
     itarget = [int(diff.x * den), int(diff.y * den)]
     sol = solve_int(irows, itarget)

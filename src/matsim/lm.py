@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .classify import Mat2, pi_pow
 from .classify import similar as dvr_similar
@@ -112,11 +112,7 @@ def _clear_scalar(ring, vecs):
     if _is_dvr(ring):
         worst = max((-ring.val(c) for v in vecs for c in v), default=0)
         return pi_pow(ring, int(max(worst, 0)))
-    den = 1
-    for v in vecs:
-        for c in v:
-            den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(den)
+    return Fraction(lcm(*(c.denominator for v in vecs for c in v)))
 
 
 def matrix_to_ideal(f: MonicPoly, A, ring=None) -> IdealBasis:
@@ -250,28 +246,42 @@ class BQForm:
         return f"{self.a}x^2 + {self.b}xy + {self.c}y^2"
 
 
-def reduce_form(F: BQForm) -> BQForm:
-    """Unique Gauss-reduced representative: |b| <= a <= c, b >= 0 on ties."""
+def gauss_reduce(F: BQForm):
+    """Gauss reduction with its SL2(Z) transform: (G, (e1, e2)) with G the
+    unique reduced form, |b| <= a <= c and b >= 0 on ties, and
+    G(x, y) = F(x*e1 + y*e2); so a = F(e1) is the minimum of F on Z^2 - 0
+    (Cohen, GTM 138, §5.4)."""
     if not F.is_positive_definite():
         raise IndefiniteForm(f"{F} is not positive definite")
     a, b, c = F.a, F.b, F.c
+    (p, q), (r, s) = (1, 0), (0, 1)
     while True:
-        if c < a:
+        if c < a or (a == c and b < 0):
+            # (x, y) -> (-y, x); on a tie it only flips the sign of b
             a, b, c = c, -b, a
-            continue
-        if b > a or b <= -a:
-            # normalize b into (-a, a]
+            (p, q), (r, s) = (r, s), (-p, -q)
+        elif b > a or b <= -a:
+            # (x, y) -> (x + k*y, y), moving b into (-a, a]
             k = (a - b) // (2 * a)
-            b2 = b + 2 * k * a
-            c = a * k * k + b * k + c
-            b = b2
-            continue
-        break
-    if a == c and b < 0:
-        b = -b
-    if b == -a:
-        b = a
-    return BQForm(a, b, c)
+            b, c = b + 2 * k * a, a * k * k + b * k + c
+            r, s = r + k * p, s + k * q
+        else:
+            return BQForm(a, b, c), ((p, q), (r, s))
+
+
+def reduce_form(F: BQForm) -> BQForm:
+    """Unique Gauss-reduced representative: |b| <= a <= c, b >= 0 on ties."""
+    return gauss_reduce(F)[0]
+
+
+def norm_form(u, v, n) -> BQForm:
+    """The form N(x*u + y*v)/n; its middle coefficient is the polarization
+    N(u + v) - N(u) - N(v), over n."""
+    fa, fc = u.norm() / n, v.norm() / n
+    coeffs = (fa, (u + v).norm() / n - fa - fc, fc)
+    if any(x.denominator != 1 for x in coeffs):
+        raise NotAnIdeal("norm form is not integral: not an ideal basis")
+    return BQForm(*map(int, coeffs))
 
 
 def ideal_norm(J: IdealBasis):
@@ -291,17 +301,9 @@ def ideal_to_form(J: IdealBasis) -> BQForm:
     if disc >= 0:
         raise NotImaginaryQuadratic(f"disc {disc} is not negative")
     ideal_to_matrix(f, J)  # validates rank and the ideal property
-    nj = ideal_norm(J)
-    # norms in Q[theta]; the middle coefficient is the polarization N(u+v) - N(u) - N(v)
+    # norms in Q[theta]
     alg = QuadAlgebra(QQ, f.a, f.b)
-    u, v = (ExtElem(alg, *c) for c in J.basis)
-    fa = u.norm() / nj
-    fc = v.norm() / nj
-    fb = (u + v).norm() / nj - fa - fc
-    for x in (fa, fb, fc):
-        if x.denominator != 1:
-            raise NotAnIdeal("norm form is not integral: not an ideal basis")
-    return BQForm(int(fa), int(fb), int(fc))
+    return norm_form(*(ExtElem(alg, *c) for c in J.basis), ideal_norm(J))
 
 
 def scale_ideal(J: IdealBasis, alpha) -> IdealBasis:

@@ -50,6 +50,15 @@ def _is_prime(n):
     return True
 
 
+def _int_val(n, p):
+    """The p-adic valuation of a nonzero int."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 class Rationals:
     """Q with ``Fraction`` elements: the fraction field of ZLoc and ZZ, and
     the coordinate field of Q(sqrt d)."""
@@ -112,15 +121,7 @@ class ZLoc(Rationals):
         x = self.coerce(x)
         if x == 0:
             return INF
-        v = 0
-        num, den = x.numerator, x.denominator
-        while num % self.p == 0:
-            num //= self.p
-            v += 1
-        while den % self.p == 0:
-            den //= self.p
-            v -= 1
-        return v
+        return _int_val(x.numerator, self.p) - _int_val(x.denominator, self.p)
 
     def is_integral(self, x):
         return self.val(x) >= 0

@@ -78,6 +78,14 @@ def test_lattice_free_rejects_f_outside_the_order(capsys):
     assert err == "error: bad lattice payload: f = x^2 - a*x - b needs a and b in Z[w], w = sqrt(d)\n"
 
 
+def test_lattice_free_rejects_huge_d_before_the_squarefree_check(capsys):
+    # trial division up to sqrt|d| would take hours here; the bound answers at once
+    payload = json.dumps({"d": -(10**20 + 1), "f": "x^2-2", "generators": [["2", "0", "0", "0"], ["0", "0", "1", "0"]]})
+    code, out, err = run(capsys, "lattice-free", "--in", payload)
+    assert (code, out) == (3, "")
+    assert "10^12" in err
+
+
 def test_classify_witness_verified(capsys):
     code, out, _ = run(capsys, "classify", "--ring", Z2, "--in", '{"matrix": [["3","7"],["2","-3"]]}')
     assert code == 0

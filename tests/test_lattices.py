@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import legacy_lattices as old
 from matsim.errors import NotFullRank, UnsupportedRing, X0InBase
 from matsim.lattices import (
     FracIdealR,
@@ -66,6 +69,11 @@ class TestQuadBase:
             QuadBase(-20)  # not squarefree
         QuadBase(-1)
         QuadBase(-6)
+
+    def test_huge_d_rejected_with_the_bound(self):
+        # the squarefree check would run 10^10 trial divisions here
+        with pytest.raises(UnsupportedRing, match=r"10\^12"):
+            QuadBase(-(10**20 + 1))
 
     def test_arithmetic(self):
         w = BASE.omega
@@ -184,6 +192,36 @@ class TestIsPrincipal:
     def test_fractional(self):
         I = FracIdealR.from_elems(BASE, [BASE.elem(Fraction(1, 2))])
         assert is_principal(BASE, I) == BASE.elem(Fraction(1, 2))
+
+    def test_generator_far_beyond_any_box(self):
+        # the scan would try 10^30 values of y; the reduction takes a few steps
+        for g in (BASE.elem(7, 10**30), BASE.elem(Fraction(3, 2), -(10**30) - 1)):
+            I = FracIdealR.from_elems(BASE, [g])
+            found = is_principal(BASE, I)
+            assert FracIdealR.from_elems(BASE, [found]) == I
+            assert found in (g, -g)
+        # 3 divides N(7 + 10^30*w), so this is a prime of norm 3, and x^2 + 5y^2 = 3 has no solution
+        assert is_principal(BASE, FracIdealR.from_elems(BASE, [BASE.elem(7, 10**30), BASE.elem(3)])) is None
+
+
+def _gen(base, x, y, den):
+    return base.elem(Fraction(x, den), Fraction(y, den))
+
+
+COORD = st.integers(-(10**4), 10**4)
+GEN = st.tuples(COORD, COORD, st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=st.sampled_from([-1, -2, -5, -6, -10, -13, -14, -21, -30]), gens=st.tuples(GEN, GEN))
+def test_is_principal_matches_the_box_scan(d, gens):
+    base = QuadBase(d)
+    elems = [_gen(base, *g) for g in gens]
+    if not any(elems):
+        return
+    ideal = FracIdealR.from_elems(base, elems)
+    # the same generator, not just an associate, or None for both
+    assert is_principal(base, ideal) == old.is_principal(base, ideal)
 
 
 class TestSteinitzAndFreeness:
@@ -306,6 +344,27 @@ def test_free_basis_is_checked_under_python_O():
         "L._find_u0 = lambda *args: real(*args) + Fraction(1, 2)\n"
         "try:\n"
         "    print(L.is_free(J))\n"
+        "except InvariantViolation:\n"
+        "    print('caught', __debug__)\n"
+    )
+    assert proc.stdout == "caught False\n", proc.stdout + proc.stderr
+
+
+def test_principal_generator_is_checked_under_python_O():
+    # a reduction that reports twice the minimal vector yields a generator of
+    # 2I, not I; the check of the generator must raise without asserts
+    proc = run_optimized(
+        "from matsim import lattices as L\n"
+        "from matsim.errors import InvariantViolation\n"
+        "base = L.QuadBase(-5)\n"
+        "real = L.gauss_reduce\n"
+        "def wrong(F):\n"
+        "    G, ((p, q), e2) = real(F)\n"
+        "    return G, ((2 * p, 2 * q), e2)\n"
+        "L.gauss_reduce = wrong\n"
+        "I = L.FracIdealR.from_elems(base, [base.elem(7, 10**4)])\n"
+        "try:\n"
+        "    print(L.is_principal(base, I))\n"
         "except InvariantViolation:\n"
         "    print('caught', __debug__)\n"
     )

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsim.errors import (
     CharPolyMismatch,
@@ -18,6 +21,7 @@ from matsim.lm import (
     class_forms,
     companion,
     equivalent,
+    gauss_reduce,
     ideal_norm,
     ideal_to_form,
     ideal_to_matrix,
@@ -166,6 +170,25 @@ class TestReduceForm:
             assert reduce_form(r) == r
             assert r.disc() == Fm.disc()
             assert -r.a < r.b <= r.a <= r.c
+
+
+def _value(Fm, x, y):
+    return Fm.a * x * x + Fm.b * x * y + Fm.c * y * y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.integers(1, 10**30), c=st.integers(1, 10**30), t=st.floats(-0.999, 0.999))
+def test_gauss_reduce_transform(a, c, t):
+    # b with b^2 < 4ac, anywhere in that range, so F is positive definite
+    b = int(t * 2 * math.isqrt(a * c))
+    Fm = F(a, b, c)
+    G, (e1, e2) = gauss_reduce(Fm)
+    assert e1[0] * e2[1] - e1[1] * e2[0] == 1
+    assert _value(Fm, *e1) == G.a
+    assert _value(Fm, *e2) == G.c
+    assert _value(Fm, e1[0] + e2[0], e1[1] + e2[1]) == G.a + G.b + G.c
+    assert G.disc() == Fm.disc()
+    assert -G.a < G.b <= G.a <= G.c and (G.b >= 0 or G.a < G.c)
 
 
 class TestEquivalence:
