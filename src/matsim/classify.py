@@ -614,6 +614,14 @@ def canonical_matrix(form) -> Mat2:
     return _theta_matrix(ring, f, g1, c)
 
 
+def _need_bound(insep_bound, missing):
+    """Check the index bound of an infinite family: given, and >= 0."""
+    if insep_bound is None:
+        raise InsepBoundRequired(missing)
+    if insep_bound < 0:
+        raise ValueError(f"the index bound must be >= 0, got {insep_bound}")
+
+
 def class_list(ring, f: MonicPoly, insep_bound: int | None = None):
     """All conjugacy classes with characteristic polynomial f, in index order.
 
@@ -624,8 +632,7 @@ def class_list(ring, f: MonicPoly, insep_bound: int | None = None):
     if fact.reducible:
         lam1, lam2 = fact.lam1, fact.lam2
         if lam1 == lam2:
-            if insep_bound is None:
-                raise InsepBoundRequired("double root: the tau family is infinite")
+            _need_bound(insep_bound, "double root: the tau family is infinite")
             forms = [Reducible(f, lam1, lam2, ring.zero)]
             forms += [Reducible(f, lam1, lam2, pi_pow(ring, i)) for i in range(insep_bound + 1)]
             return forms
@@ -633,8 +640,7 @@ def class_list(ring, f: MonicPoly, insep_bound: int | None = None):
         return [Reducible(f, lam1, lam2, pi_pow(ring, i)) for i in range(d + 1)]
     name, _, vd = _branch(ring, f)
     if name == "insep":
-        if insep_bound is None:
-            raise InsepBoundRequired("inseparable family needs an index bound")
+        _need_bound(insep_bound, "inseparable family needs an index bound")
         b = f.b
         chain = _insep_chain(ring, b, insep_bound)
         return [Insep(f, i, u, (b - u * u) / pi_pow(ring, i)) for i, u in enumerate(chain)]
@@ -655,8 +661,7 @@ def class_number(ring, f: MonicPoly, insep_bound: int = 10):
         raise ReduciblePoly("class_number expects an irreducible quadratic")
     name, _, vd = _branch(ring, f)
     if name == "insep":
-        if insep_bound is None:
-            raise InsepBoundRequired("inseparable family needs an index bound")
+        _need_bound(insep_bound, "inseparable family needs an index bound")
         return LowerBound(len(_insep_chain(ring, f.b, insep_bound)))
     if name in _SEP_FORMS:
         return compute_m(ring, f, name)[0] + 1

@@ -66,9 +66,11 @@ def conj_search_mod(ring, A: Mat2, B: Mat2, N: int, budget: int = DEFAULT_BUDGET
     the budget, although the digit search costs at most 4*d*p tests of at
     most q^4 points each at any N (d coordinates per entry).
     """
-    space = quotient_size(ring, N) ** 4
-    if space > budget:
-        raise BudgetExceeded(f"search space {space} exceeds budget {budget}")
+    # |R/pi^N|^4 = p^(4L) >= 2^(4L) exceeds the budget once 4L reaches its
+    # bit length, so the power is built only while it is about budget-sized
+    L = sum(ring.levels(N))
+    if 4 * L >= budget.bit_length() or ring.p ** (4 * L) > budget:
+        raise BudgetExceeded(f"search space {ring.p}^(4*{L}) exceeds budget {budget}")
     U = _least_unit(ring, _solve_congruence(ring, A, B, N, budget), N)
     if U is None:
         return None

@@ -7,9 +7,9 @@ The factoring decisions the classification depends on:
   square polynomial, found by exact coefficient recursion;
 * over GF(2)(t)       -- squares are exactly GF(2)(t^2); for a separable
   quadratic, substitute x = a*z and solve the additive equation
-  z^2 + z = c by GF(2)-linear algebra on coefficients;
+  z^2 + z = c by a sweep down the degrees of its numerator;
 * over quadratic extensions -- reduce to base-field square/additive
-  decisions through the norm form (see _ext_sqrt / _ext_artin_schreier).
+  decisions through the norm form (see _ext_sqrt / _as_solve_ext).
 
 Roots of a monic quadratic over K are integral (R is integrally closed),
 which is checked on every reducible outcome.
@@ -342,11 +342,11 @@ def _ext_sqrt_char2(ring: QuadExt, d: ExtElem):
     if d1:
         return None
     e_part, o_part = _even_odd_parts(d0)
-    _, b_odd = _even_odd_parts(B)
+    b_even, b_odd = _even_odd_parts(B)
     if not b_odd:
         raise UnsupportedRing("degenerate extension: w^2 in GF(2)(t^2)")
     big_d = o_part / b_odd
-    big_c = e_part + _even_odd_parts(B)[0] * big_d
+    big_c = e_part + b_even * big_d
     cand = ExtElem(ring, big_c, big_d)
     return cand if cand * cand == d else None
 
@@ -365,71 +365,41 @@ def artin_schreier_solve(ring, c):
 
 
 def _as_solve_f2t(c: FpRat):
-    """Solve z^2 + z = c in GF(2)(t) by linear algebra over GF(2).
+    """Solve z^2 + z = c in GF(2)(t) by a sweep down the degrees.
 
-    A root U/V in lowest terms forces V^2 = den(c); with V fixed the
-    equation becomes U^2 + U*V + num(c) = 0, GF(2)-linear in U's
-    coefficients because squaring is additive.
+    A root U/V in lowest terms forces V^2 = den(c), so the equation is
+    U^2 + U*V = N with N = num(c).  With e = deg V, adding t^i to U adds
+    t^i*(t^i + V) to the left side, of degree 2i for i > e and i + e for
+    i < e.  These lead degrees are distinct and miss 2e, so cancelling the
+    lead term of the remainder fixes U's coefficients one at a time from
+    the top.  U -> U^2 + U*V has kernel {0, V}, so the sweep, which never
+    sets u_e, finds the one root with u_e = 0.  Polynomials here are ints,
+    bit i the coefficient of t^i.
     """
-    n, d = c.num, c.den
-    v = d.sqrt()
+    v = c.den.sqrt()
     if v is None:
         return None
-    bound = max(v.degree, n.degree, 0)
-    ncols = bound + 1
-    nrows = max(2 * bound, bound + v.degree, n.degree) + 1
-    # row k of U^2 + U*V = num(c), the coefficient of t^k: bit i for the
-    # unknown coefficient u_i of U, bit ncols for the right-hand side
-    aug = [0] * nrows
-    vbits = [j for j, vc in enumerate(v.coeffs) if vc]
-    for i in range(ncols):
-        aug[2 * i] ^= 1 << i  # U^2 term
-        for j in vbits:
-            aug[i + j] ^= 1 << i  # U*V term
-    for j, nc in enumerate(n.coeffs):
-        if nc:
-            aug[j] ^= 1 << ncols
-    sol = _solve_gf2(aug, ncols)
-    if sol is None:
+    e, vbits = v.degree, _bits(v)
+    r, u = _bits(c.num), 0
+    while (k := r.bit_length() - 1) >= e and k != 2 * e:
+        if k > 2 * e:
+            if k % 2:
+                return None
+            i = k // 2
+        else:
+            i = k - e
+        u ^= 1 << i
+        r ^= (1 << 2 * i) ^ (vbits << i)
+    if r:
         return None
-    u = FpPoly(2, sol)
-    z = FpRat(u, v)
-    invariant(z * z + z == c, "z^2 + z = c failed for the GF(2)-linear solution")
+    z = FpRat(FpPoly(2, [(u >> i) & 1 for i in range(u.bit_length())]), v)
+    invariant(z * z + z == c, "z^2 + z = c failed for the degree sweep's root")
     return z
 
 
-def _solve_gf2(aug, ncols):
-    """Gauss-Jordan elimination over GF(2); one solution or None.
-
-    Row i is the int aug[i]: bit j holds the coefficient of unknown j and
-    bit ncols the right-hand side, so a row operation is one XOR.  Free
-    unknowns are set to 0.
-    """
-    aug = list(aug)
-    nrows = len(aug)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        bit = 1 << col
-        piv = next((i for i in range(r, nrows) if aug[i] & bit), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        row = aug[r]
-        for i in range(nrows):
-            if i != r and aug[i] & bit:
-                aug[i] ^= row
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    # the rows below the pivots have no coefficient left: 0 = rhs
-    if any(aug[i] >> ncols for i in range(r, nrows)):
-        return None
-    sol = [0] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i] >> ncols
-    return sol
+def _bits(f: FpPoly):
+    """A GF(2) polynomial as an int, bit i the coefficient of t^i."""
+    return sum(b << i for i, b in enumerate(f.coeffs))
 
 
 def _as_solve_ext(ring: QuadExt, c: ExtElem):

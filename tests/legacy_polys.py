@@ -1,34 +1,69 @@
-"""``polys._solve_gf2`` before its rows were packed into ints, kept as a test
-oracle for ``test_polys.py``.
+"""``polys._as_solve_f2t`` before the degree sweep, with the GF(2)
+elimination it called, kept as a test oracle for ``test_polys.py``.
 
-The body is the old one: each row is a Python list of 0/1, the right-hand
-side a separate list, and a row operation XORs two lists entry by entry.
+The bodies are the old ones: the equation U^2 + U*V = num(c) becomes an
+augmented GF(2) system, one int per row, solved by Gauss-Jordan with the
+free unknown set to 0.
 """
 
+from matsim.fppoly import FpPoly, FpRat
 
-def _solve_gf2(rows, rhs):
-    """Gaussian elimination over GF(2); one solution or None."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [rows[i][:] + [rhs[i]] for i in range(nrows)]
+
+def _as_solve_f2t(c: FpRat):
+    """Solve z^2 + z = c in GF(2)(t) by linear algebra over GF(2)."""
+    n, d = c.num, c.den
+    v = d.sqrt()
+    if v is None:
+        return None
+    bound = max(v.degree, n.degree, 0)
+    ncols = bound + 1
+    nrows = max(2 * bound, bound + v.degree, n.degree) + 1
+    # row k of U^2 + U*V = num(c), the coefficient of t^k: bit i for the
+    # unknown coefficient u_i of U, bit ncols for the right-hand side
+    aug = [0] * nrows
+    vbits = [j for j, vc in enumerate(v.coeffs) if vc]
+    for i in range(ncols):
+        aug[2 * i] ^= 1 << i  # U^2 term
+        for j in vbits:
+            aug[i + j] ^= 1 << i  # U*V term
+    for j, nc in enumerate(n.coeffs):
+        if nc:
+            aug[j] ^= 1 << ncols
+    sol = _solve_gf2(aug, ncols)
+    if sol is None:
+        return None
+    return FpRat(FpPoly(2, sol), v)
+
+
+def _solve_gf2(aug, ncols):
+    """Gauss-Jordan elimination over GF(2); one solution or None.
+
+    Row i is the int aug[i]: bit j holds the coefficient of unknown j and
+    bit ncols the right-hand side, so a row operation is one XOR.  Free
+    unknowns are set to 0.
+    """
+    aug = list(aug)
+    nrows = len(aug)
     pivots = []
     r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][col]), None)
+        bit = 1 << col
+        piv = next((i for i in range(r, nrows) if aug[i] & bit), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
+        row = aug[r]
         for i in range(nrows):
-            if i != r and aug[i][col]:
-                aug[i] = [x ^ y for x, y in zip(aug[i], aug[r])]
+            if i != r and aug[i] & bit:
+                aug[i] ^= row
         pivots.append(col)
         r += 1
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
+    # the rows below the pivots have no coefficient left: 0 = rhs
+    if any(aug[i] >> ncols for i in range(r, nrows)):
+        return None
     sol = [0] * ncols
     for i, col in enumerate(pivots):
-        sol[col] = aug[i][ncols]
+        sol[col] = aug[i] >> ncols
     return sol

@@ -231,6 +231,31 @@ def test_insep_bound_zero_is_used(capsys):
         assert code == 0 and json.loads(out) == {"class_number_lower_bound": expected}
 
 
+@pytest.mark.parametrize(
+    "command, ring, f",
+    [
+        ("class-list", '{"kind":"FpTLoc","p":2}', "x^2 - t"),
+        ("class-number", '{"kind":"FpTLoc","p":2}', "x^2 - t"),
+        ("class-list", '{"kind":"ZLoc","p":3}', "x^2 - 2*x + 1"),
+    ],
+)
+def test_negative_insep_bound_exits_2(capsys, command, ring, f):
+    # a negative bound used to list Insep{i=0,...} and count 1
+    code, out, err = run(capsys, command, "--ring", ring, "--insep-bound", "-3", "--in", json.dumps({"f": f}))
+    assert code == 2 and out == ""
+    assert "ValueError" in err and "-3" in err
+
+
+@pytest.mark.parametrize("argv", [["cross-check"], ["similar", "--cross-check"]])
+def test_deep_oracle_level_exceeds_budget(capsys, argv):
+    # refused from the budget's bit length: 3^(4*10^6) is neither built nor
+    # printed (printing it broke int-to-str conversion and exited 2)
+    payload = '{"A": [["0","1"],["18","0"]], "B": [["0","1"],["18","0"]], "N": 1000000}'
+    code, out, err = run(capsys, *argv, "--ring", '{"kind":"ZLoc","p":3}', "--in", payload)
+    assert code == 3 and out == ""
+    assert "BudgetExceeded" in err and "3^(4*1000000)" in err
+
+
 
 def test_lm_to_ideal_degree_one(capsys):
     # theta = 3 for f = x - 3, so the 1x1 matrix [3] is the ideal (1)

@@ -12,7 +12,7 @@ from matsim.errors import CharTwo
 from matsim.fppoly import FpPoly, FpRat
 from matsim.polys import (
     MonicPoly,
-    _solve_gf2,
+    _as_solve_f2t,
     artin_schreier_solve,
     disc_quad,
     is_separable,
@@ -218,28 +218,33 @@ def test_quadratic_accessors_reject_a_cubic_under_python_O():
     assert proc.stdout == "a False\nb False\n", proc.stderr
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32),
-    nrows=st.integers(1, 14),  # the list form reads ncols off its first row
-    ncols=st.integers(1, 14),
-    density=st.sampled_from([0.1, 0.5, 0.9]),
-    consistent=st.booleans(),
+    deg_v=st.integers(0, 12),
+    deg_n=st.integers(0, 40),
+    kind=st.sampled_from(["root", "square_den", "random"]),
 )
-def test_solve_gf2_matches_list_elimination(seed, nrows, ncols, density, consistent):
-    # the packed rows give the old particular solution (same pivots, free
-    # unknowns 0), and None on the same inconsistent systems
+def test_as_solve_f2t_matches_gf2_elimination(seed, deg_v, deg_n, kind):
+    # the degree sweep returns the elimination's root (free unknown u_e = 0)
+    # and None on the same c: solvable c = z^2 + z, and random N/D with D a
+    # square or not
     rng = random.Random(seed)
-    rows = [[int(rng.random() < density) for _ in range(ncols)] for _ in range(nrows)]
-    if consistent:
-        x = [rng.randrange(2) for _ in range(ncols)]
-        rhs = [sum(a * b for a, b in zip(row, x)) % 2 for row in rows]
+
+    def poly(deg):
+        return FpPoly(2, [rng.randrange(2) for _ in range(deg)] + [1])
+
+    if kind == "root":
+        z = FpRat(poly(deg_n // 2), poly(deg_v))
+        c = z * z + z
+    elif kind == "square_den":
+        v = poly(deg_v)
+        c = FpRat(poly(deg_n), v * v)
     else:
-        rhs = [rng.randrange(2) for _ in range(nrows)]
-    packed = [sum(bit << j for j, bit in enumerate(row + [b])) for row, b in zip(rows, rhs)]
-    got = _solve_gf2(packed, ncols)
-    assert got == old._solve_gf2(rows, rhs)
-    if consistent:
-        assert got is not None
+        c = FpRat(poly(deg_n), poly(2 * deg_v))
+    got = _as_solve_f2t(c)
+    assert got == old._as_solve_f2t(c)
+    if kind == "root":
+        assert got in (z, z + 1)
     if got is not None:
-        assert all(sum(a * b for a, b in zip(row, got)) % 2 == b for row, b in zip(rows, rhs))
+        assert got * got + got == c
