@@ -163,7 +163,7 @@ print(json.dumps(times))
 ORACLE = """
 import json, sys, time
 from matsim.classify import Mat2, pi_pow
-from matsim.oracle import conj_search_mod, quotient_size
+from matsim.oracle import conj_search_mod
 from matsim.rings import FpTLoc, QuadExt, ZLoc
 kind, N, similar, repeats = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "similar", int(sys.argv[4])
 if kind == "ZLoc3":
@@ -177,7 +177,7 @@ else:
     other = Mat2(ring, [[A[0][0] + pi_pow(ring, N - 1), A[0][1]], [A[1][0], A[1][1]]])
 V = Mat2(ring, [[1, 1], [1, 2]])
 B = (V @ A) @ V.inv() if similar else other
-budget = quotient_size(ring, N) ** 4
+budget = ring.p ** (4 * sum(ring.levels(N)))
 times = []
 for _ in range(repeats):
     t0 = time.perf_counter()

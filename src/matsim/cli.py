@@ -218,18 +218,26 @@ def cmd_lm_to_matrix(args):
     return {"matrix": [[ring.encode(x) for x in row] for row in A]}
 
 
+def _lattice_vector(ctx, v):
+    if type(v) is not list:
+        raise ValueError(f"a coordinate vector is a JSON list, got {json.dumps(v)}")
+    return lat.lelem(ctx, [Fraction(str(c)) for c in v])
+
+
 def cmd_lattice_free(args):
     doc = _load_json(args.payload, "--in")
     try:
-        base = lat.QuadBase(int(doc["d"]))
+        if type(doc["d"]) is not int:
+            raise ValueError(f"d must be an integer, got {json.dumps(doc['d'])}")
+        base = lat.QuadBase(doc["d"])
         ctx = lat.RelExt.from_poly_string(base, doc["f"])
-        gens = [lat.lelem(ctx, [Fraction(str(c)) for c in g]) for g in doc["generators"]]
+        gens = [_lattice_vector(ctx, g) for g in doc["generators"]]
+        x0 = _lattice_vector(ctx, doc["x0"]) if "x0" in doc else None
     except MatsimError:
         raise
     except Exception as exc:
         raise InputError(f"bad lattice payload: {exc}") from exc
     J = lat.lattice_from_generators(ctx, gens)
-    x0 = lat.lelem(ctx, [Fraction(str(c)) for c in doc["x0"]]) if "x0" in doc else None
     dec = lat.decompose(J, x0)
     basis = lat.free_basis(J, dec)
     result = {

@@ -53,6 +53,8 @@ class QuadBase(QuadAlgebra):
         super().__init__(QQ, 0, d)
         self.d = d
         self.omega = self.gen()
+        # w acting on ideal coordinates (w-part, 1-part): [[0, d], [1, 0]]
+        self.actions = (_action([((self.omega * u).y, (self.omega * u).x) for u in (self.omega, self.one)]),)
 
     def __repr__(self):
         return f"QuadBase({self.d})"
@@ -83,6 +85,17 @@ class QuadBase(QuadAlgebra):
 # exact rational lattices via integer HNF
 
 
+def _act(row, M):
+    return [sum(c * m for c, m in zip(row, col)) for col in zip(*M)]
+
+
+def _action(images):
+    """The integer matrix whose rows are the coordinates of the images of
+    the unit vectors."""
+    invariant(all(c.denominator == 1 for r in images for c in r), "an action of the order must be integral")
+    return tuple(tuple(int(c) for c in r) for r in images)
+
+
 @dataclass(frozen=True)
 class QLattice:
     """(1/den) * (Z-span of rows); rows are a canonical integer HNF."""
@@ -91,10 +104,14 @@ class QLattice:
     rows: tuple  # tuple of int tuples, no zero rows
 
     @classmethod
-    def from_vectors(cls, vecs):
+    def from_vectors(cls, vecs, actions=()):
+        """The lattice spanned by vecs and their images under every product
+        of the integer action matrices (row vector times matrix)."""
         vecs = [tuple(Fraction(c) for c in v) for v in vecs]
         den = lcm(*(c.denominator for v in vecs for c in v))
         ints = [[int(c * den) for c in v] for v in vecs]
+        for M in actions:
+            ints += [_act(r, M) for r in ints]
         H = [r for r in hnf_int(ints) if any(r)]
         g = gcd(den, *(c for r in H for c in r))
         if g > 1:
@@ -109,11 +126,10 @@ class QLattice:
     def vectors(self):
         return [tuple(Fraction(c, self.den) for c in r) for r in self.rows]
 
-    def member(self, vec):
-        target = [Fraction(c) * self.den for c in vec]
-        if any(t.denominator != 1 for t in target):
-            return False
-        return solve_int(list(self.rows), [int(t) for t in target]) is not None
+    def closed_under(self, actions):
+        """True when rows*M lies in the lattice for every action matrix M."""
+        images = [_act(r, M) for M in actions for r in self.rows]
+        return tuple(tuple(r) for r in hnf_int(list(self.rows) + images) if any(r)) == self.rows
 
     def scaled(self, q: Fraction):
         q = Fraction(q)
@@ -142,9 +158,7 @@ class FracIdealR:
 
     @classmethod
     def from_elems(cls, base, elems, check=True):
-        vecs = [(e.y, e.x) for e in elems]
-        vecs += [((base.omega * e).y, (base.omega * e).x) for e in elems]
-        lat = QLattice.from_vectors(vecs)
+        lat = QLattice.from_vectors([(e.y, e.x) for e in elems], base.actions)
         if lat.rank != 2:
             raise NotFullRank("ideal must have rank 2 over Z")
         out = cls(base, lat)
@@ -153,15 +167,10 @@ class FracIdealR:
         return out
 
     def _check_module(self):
-        for e in self.elems():
-            w = self.base.omega * e
-            invariant(self.lat.member((w.y, w.x)), "not closed under multiplication by w")
+        invariant(self.lat.closed_under(self.base.actions), "not closed under multiplication by w")
 
     def elems(self):
         return [ExtElem(self.base, v[1], v[0]) for v in self.lat.vectors()]
-
-    def contains(self, e: ExtElem):
-        return self.lat.member((e.y, e.x))
 
     def __mul__(self, other):
         prods = [a * b for a in self.elems() for b in other.elems()]
@@ -191,12 +200,6 @@ class FracIdealR:
 
     def den_scalar(self):
         return self.lat.den
-
-    def __eq__(self, other):
-        return isinstance(other, FracIdealR) and self.base == other.base and self.lat == other.lat
-
-    def __hash__(self):
-        return hash((self.base, self.lat))
 
     def __repr__(self):
         return f"FracIdealR({self.encode()})"
@@ -245,6 +248,10 @@ class RelExt(QuadAlgebra):
         super().__init__(base, mp_a, mp_b)
         if any(c.denominator != 1 for e in (self.mp_a, self.mp_b) for c in (e.x, e.y)):
             raise ValueError("f = x^2 - a*x - b needs a and b in Z[w], w = sqrt(d)")
+        # w and theta acting on the coordinates (1, w, theta, w*theta)
+        units = [lelem(self, [int(i == j) for j in range(4)]) for i in range(4)]
+        w, th = self.embed(base.omega), self.gen()
+        self.actions = tuple(_action([(g * u).coords() for u in units]) for g in (w, th))
 
     @classmethod
     def from_poly_string(cls, base, s):
@@ -260,6 +267,8 @@ class RelExt(QuadAlgebra):
 
 def lelem(ctx, coords):
     c = [Fraction(x) for x in coords]
+    if len(c) != 4:
+        raise ValueError(f"an element of L has 4 coordinates, got {len(c)}")
     return ExtElem(ctx, ctx.base.elem(c[0], c[1]), ctx.base.elem(c[2], c[3]))
 
 
@@ -270,45 +279,15 @@ class LLattice:
     ctx: RelExt
     lat: QLattice
 
-    def basis_elems(self):
-        return [lelem(self.ctx, v) for v in self.lat.vectors()]
-
-    def contains(self, e: ExtElem):
-        return self.lat.member(e.coords())
-
-    def __eq__(self, other):
-        return isinstance(other, LLattice) and self.ctx == other.ctx and self.lat == other.lat
-
-    def __hash__(self):
-        return hash((self.ctx, self.lat))
-
 
 def lattice_from_generators(ctx: RelExt, gens) -> LLattice:
     """HNF of the span of {g, w*g, theta*g, w*theta*g} for each generator."""
-    base = ctx.base
-    w = base.omega
-    th = ctx.gen()
-    vecs = []
-    for g in gens:
-        if not isinstance(g, ExtElem):
-            g = lelem(ctx, g)
-        if not g:
-            continue
-        for m in (g, w * g, th * g, w * (th * g)):
-            vecs.append(m.coords())
-    lat = QLattice.from_vectors(vecs)
+    vecs = [(g if isinstance(g, ExtElem) else lelem(ctx, g)).coords() for g in gens]
+    lat = QLattice.from_vectors(vecs, ctx.actions)
     if lat.rank != 4:
         raise NotFullRank("generators do not span L over K")
-    out = LLattice(ctx, lat)
-    _check_rtheta_module(out)
-    return out
-
-
-def _check_rtheta_module(J: LLattice):
-    w = J.ctx.base.omega
-    th = J.ctx.gen()
-    for e in J.basis_elems():
-        invariant(J.contains(w * e) and J.contains(th * e), "lattice not closed under w and theta")
+    invariant(lat.closed_under(ctx.actions), "lattice not closed under w and theta")
+    return LLattice(ctx, lat)
 
 
 def intersect_base(J: LLattice) -> FracIdealR:

@@ -126,6 +126,8 @@ def matrix_to_ideal(f: MonicPoly, A, ring=None) -> IdealBasis:
         A = [list(A[0]), list(A[1])]
     A = [[ring.coerce(x) for x in row] for row in A]
     n = f.degree
+    if len(A) != n or any(len(row) != n for row in A):
+        raise ValueError("matrix shape must be deg f x deg f")
     if char_poly_n(ring, A) != f:
         raise CharPolyMismatch("det(xI - A) differs from f")
     if not is_separable(f, ring):

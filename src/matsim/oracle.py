@@ -32,10 +32,6 @@ from .rings import QuadExt
 DEFAULT_BUDGET = 10**7
 
 
-def quotient_size(ring, N: int) -> int:
-    return ring.p ** sum(ring.levels(N))
-
-
 def mat_congruent_mod(ring, X: Mat2, Y: Mat2, N: int) -> bool:
     for i in range(2):
         for j in range(2):

@@ -744,10 +744,11 @@ def ring_from_json(doc):
     if not isinstance(doc, dict):
         raise ValueError("a ring descriptor is a JSON object")
     kind = doc.get("kind")
-    if kind == "ZLoc":
-        return ZLoc(int(doc["p"]))
-    if kind == "FpTLoc":
-        return FpTLoc(int(doc["p"]))
+    if kind in ("ZLoc", "FpTLoc"):
+        p = doc["p"]
+        if type(p) is not int:
+            raise ValueError(f"p must be an integer, got {p!r}")
+        return ZLoc(p) if kind == "ZLoc" else FpTLoc(p)
     if kind == "QuadExt":
         base = ring_from_json(doc["base"])
         from .polys import parse_monic_quadratic

@@ -8,8 +8,9 @@ unit-determinant one; ``conj_search_naive`` literally enumerates
 (R/pi^N)^(2x2); ``enumerate_quotient`` lists R/pi^N.  The Smith normal form
 and its domain helpers came along from ``matsim.intlin``, whose only user
 they were.  One mechanical edit: the helpers shared with the new code
-(``quotient_size``, ``mat_congruent_mod``, ``ResidueWitness``,
-``_pi_powers``) are imported from ``matsim.oracle``.
+(``mat_congruent_mod``, ``ResidueWitness``, ``_pi_powers``) are imported
+from ``matsim.oracle``.  ``quotient_size``, |R/pi^N|, left the library with
+its last caller and lives here.
 """
 
 import itertools
@@ -18,8 +19,12 @@ import operator
 from matsim.classify import Mat2
 from matsim.errors import BudgetExceeded, invariant
 from matsim.fppoly import FpPoly
-from matsim.oracle import DEFAULT_BUDGET, ResidueWitness, _pi_powers, mat_congruent_mod, quotient_size
+from matsim.oracle import DEFAULT_BUDGET, ResidueWitness, _pi_powers, mat_congruent_mod
 from matsim.rings import QuadExt
+
+
+def quotient_size(ring, N: int) -> int:
+    return ring.p ** sum(ring.levels(N))
 
 
 def enumerate_quotient(ring, N: int, budget: int = DEFAULT_BUDGET):

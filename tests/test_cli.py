@@ -86,6 +86,65 @@ def test_lattice_free_rejects_huge_d_before_the_squarefree_check(capsys):
     assert "10^12" in err
 
 
+SQRT2_GENS = [["2", "0", "0", "0"], ["0", "0", "1/2", "1/2"]]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"d": -5, "f": "x^2-2", "generators": SQRT2_GENS, "x0": ["0", "1"]},
+        {"d": -5, "f": "x^2-2", "generators": [["2", "0", "0", "0", "7"], SQRT2_GENS[1]]},
+        {"d": -5, "f": "x^2-2", "generators": [["2", "0", "0"], SQRT2_GENS[1]]},
+    ],
+    ids=["x0-of-2", "generator-of-5", "generator-of-3"],
+)
+def test_lattice_free_needs_four_coordinates(capsys, payload):
+    # a short x0 was an IndexError traceback, a fifth coordinate was dropped
+    code, out, err = run(capsys, "lattice-free", "--in", json.dumps(payload))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad lattice payload: an element of L has 4 coordinates")
+
+
+@pytest.mark.parametrize("key", ["generators", "x0"])
+def test_lattice_free_vectors_must_be_json_lists(capsys, key):
+    # a string was read character by character: "1000" as (1, 0, 0, 0)
+    payload = {"d": -5, "f": "x^2-2", "generators": SQRT2_GENS}
+    payload[key] = ["1000", SQRT2_GENS[1]] if key == "generators" else "0010"
+    code, out, err = run(capsys, "lattice-free", "--in", json.dumps(payload))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad lattice payload: a coordinate vector is a JSON list")
+
+
+@pytest.mark.parametrize("d", [-5.5, True, "-5", None], ids=repr)
+def test_lattice_free_d_must_be_a_json_integer(capsys, d):
+    # -5.5 was answered as d = -5, and true as d = 1
+    payload = json.dumps({"d": d, "f": "x^2-2", "generators": SQRT2_GENS})
+    code, out, err = run(capsys, "lattice-free", "--in", payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad lattice payload: d must be an integer")
+
+
+@pytest.mark.parametrize("ring", ['{"kind":"ZLoc","p":2.5}', '{"kind":"FpTLoc","p":true}', '{"kind":"ZLoc","p":"3"}'])
+def test_ring_p_must_be_a_json_integer(capsys, ring):
+    # p = 2.5 was answered as ZLoc(2)
+    code, out, err = run(capsys, "classify", "--ring", ring, "--in", '{"matrix": [["0","1"],["1","0"]]}')
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad ring descriptor: p must be an integer")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[["0", "-1"], ["1"]], [[]], [["0", "-1", "3"], ["1", "0", "2"]]],
+    ids=["ragged", "empty-row", "2x3"],
+)
+def test_lm_to_ideal_needs_a_square_matrix_of_degree_f(capsys, matrix):
+    # the first two were IndexError tracebacks, and the 2x3 matrix printed a basis
+    payload = json.dumps({"f": "x^2+1", "matrix": matrix})
+    code, out, err = run(capsys, "lm-to-ideal", "--ring", '{"kind":"ZZ"}', "--in", payload)
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: matrix shape must be deg f x deg f\n"
+
+
 def test_classify_witness_verified(capsys):
     code, out, _ = run(capsys, "classify", "--ring", Z2, "--in", '{"matrix": [["3","7"],["2","-3"]]}')
     assert code == 0

@@ -8,6 +8,7 @@ import legacy_lattices as old
 from matsim.errors import NotFullRank, UnsupportedRing, X0InBase
 from matsim.lattices import (
     FracIdealR,
+    QLattice,
     QuadBase,
     RelExt,
     coefficient_ideal,
@@ -295,7 +296,48 @@ class TestModuleClosure:
         for _, J in (sqrt2_lattice, x2_x_7_lattice):
             for ideal in (intersect_base(J), coefficient_ideal(J, default_x0(J)), steinitz(J)):
                 for e in ideal.elems():
-                    assert ideal.contains(BASE.omega * e)
+                    assert old.ideal_contains(ideal, BASE.omega * e)
+
+
+SMALL = st.integers(-4, 4)
+RAT = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+VEC = st.tuples(RAT, RAT, RAT, RAT)
+
+
+@st.composite
+def rel_exts(draw):
+    base = QuadBase(draw(st.sampled_from([-1, -2, -5, -6, -10, -13])))
+    a, b = (base.elem(draw(SMALL), draw(SMALL)) for _ in range(2))
+    return RelExt(base, a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ctx=rel_exts(), gens=st.lists(VEC, min_size=1, max_size=3), vecs=st.lists(VEC, min_size=4, max_size=4))
+def test_integer_actions_match_the_extelem_path(ctx, gens, vecs):
+    base = ctx.base
+    w, th = base.omega, ctx.gen()
+    units = [lelem(ctx, [int(i == j) for j in range(4)]) for i in range(4)]
+    assert ctx.actions == tuple(tuple((g * u).coords() for u in units) for g in (w, th))
+    assert base.actions == ((((w * w).y, (w * w).x), (w.y, w.x)),)
+    # the span of the generators under w and theta, and its closure
+    ref = old.span(ctx, [lelem(ctx, g) for g in gens])
+    if ref.rank == 4:
+        J = lattice_from_generators(ctx, gens)
+        assert J.lat == ref and J.lat.closed_under(ctx.actions) and old.rtheta_closed(ctx, ref)
+    else:
+        with pytest.raises(NotFullRank):
+            lattice_from_generators(ctx, gens)
+    # a random rank-4 lattice, which is rarely an R[theta]-module, and its
+    # spans under w alone and theta alone, each closed under one action
+    for acts in ((), ctx.actions[:1], ctx.actions[1:]):
+        lat = QLattice.from_vectors(vecs, acts)
+        if lat.rank == 4:
+            assert lat.closed_under(ctx.actions) == old.rtheta_closed(ctx, lat)
+    # ideals: the span under w
+    elems = [base.elem(g[0], g[1]) for g in gens]
+    ideal = old.ideal_span(base, elems)
+    if ideal.rank == 2:
+        assert FracIdealR.from_elems(base, elems).lat == ideal
 
 
 class TestGaussianWitness:
@@ -344,6 +386,25 @@ def test_free_basis_is_checked_under_python_O():
         "L._find_u0 = lambda *args: real(*args) + Fraction(1, 2)\n"
         "try:\n"
         "    print(L.is_free(J))\n"
+        "except InvariantViolation:\n"
+        "    print('caught', __debug__)\n"
+    )
+    assert proc.stdout == "caught False\n", proc.stdout + proc.stderr
+
+
+def test_module_closure_is_checked_under_python_O():
+    # a span without the images under w and theta is no R[theta]-module; the
+    # closure check must raise even when asserts are compiled away
+    proc = run_optimized(
+        "from matsim import lattices as L\n"
+        "from matsim.errors import InvariantViolation\n"
+        "base = L.QuadBase(-5)\n"
+        "ctx = L.RelExt.from_poly_string(base, 'x^2 - 2')\n"
+        "real = L.QLattice.from_vectors\n"
+        "L.QLattice.from_vectors = classmethod(lambda cls, vecs, actions=(): real(vecs))\n"
+        "gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)]\n"
+        "try:\n"
+        "    print(L.lattice_from_generators(ctx, gens))\n"
         "except InvariantViolation:\n"
         "    print('caught', __debug__)\n"
     )

@@ -71,6 +71,11 @@ class TestMatrixToIdeal:
         with pytest.raises(CharPolyMismatch):
             matrix_to_ideal(X2P6, [[0, 1], [5, 0]])
 
+    def test_shape_must_be_deg_f_square(self):
+        for A in ([[0, -6], [1]], [[]], [[0, -6, 3], [1, 0, 2]], [[0, -6], [1, 0], [0, 0]]):
+            with pytest.raises(ValueError, match="deg f x deg f"):
+                matrix_to_ideal(X2P6, A)
+
     def test_not_separable(self):
         f = parse_monic("x^2", ZZ)
         with pytest.raises(NotSeparable):

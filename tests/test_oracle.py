@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_oracle as old
-from legacy_oracle import conj_search_naive, enumerate_quotient
+from legacy_oracle import conj_search_naive, enumerate_quotient, quotient_size
 from matsim.classify import Mat2, canonical_matrix, class_list, pi_pow, reduce_mod, similar, witness
 from matsim.errors import BudgetExceeded
 from matsim.fppoly import FpPoly
@@ -16,7 +16,6 @@ from matsim.oracle import (
     conj_search_mod,
     level_collapse_check,
     mat_congruent_mod,
-    quotient_size,
 )
 from matsim.polys import MonicPoly
 from matsim.rings import FpTLoc, QuadExt, ZLoc

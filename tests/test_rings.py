@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from matsim.errors import NotIntegral
 from matsim.fppoly import FpPoly, FpRat
-from matsim.oracle import quotient_size
 from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc
 
 import legacy_residues
+from legacy_oracle import quotient_size
 from conftest import arith
 
 from conftest import all_instances, instance_ids, rand_field_elem, rand_integral, rand_nonzero
