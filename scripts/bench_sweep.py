@@ -44,7 +44,12 @@ shared machine hits them alike.  Families (``--family``, default all):
   Z[sqrt(-5)], at y = 10^4, 10^5, 10^6; each row after the first also gives
   the growth factor per factor of 10 in y.  The DEEP case, y = 10^30, runs
   on the last ``--tree`` only (a box scan would try 10^30 values of y).
-  The answer must be 7 + y*w itself, or the sweep stops.
+  The answer must be 7 + y*w itself, or the sweep stops.  ``principal/small``
+  times ``is_principal`` over 1,500 seeded ideals (x1 + y1*w, x2 + y2*w) with
+  entries in [-100, 100], d cycling through -1, -2, -5, -6, -10, in total
+  per repeat; the count of principal answers must be PRINCIPAL_SMALL_COUNT
+  on every tree, and each generator must regenerate its ideal, or the sweep
+  stops.
 
 ``--e2e`` instead runs ``bench/run.py --trace 0`` unchanged (its own run
 length) in each tree, ``--pairs`` times: pair i uses seed
@@ -205,6 +210,29 @@ for _ in range(repeats):
 print(json.dumps(times))
 """
 
+PRINCIPAL_SMALL = """
+import json, random, sys, time
+from matsim.lattices import FracIdealR, QuadBase, is_principal
+repeats, expected = int(sys.argv[1]), int(sys.argv[2])
+rng = random.Random(12)
+bases = [QuadBase(d) for d in (-1, -2, -5, -6, -10)]
+ideals = []
+for i in range(1500):
+    base = bases[i % len(bases)]
+    elems = [base.elem(rng.randint(-100, 100), rng.randint(-100, 100)) for _ in range(2)]
+    ideals.append((base, FracIdealR.from_elems(base, elems)))
+times = []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    found = [is_principal(base, ideal) for base, ideal in ideals]
+    times.append(time.perf_counter() - t0)
+principal = [(ideal, g) for (_, ideal), g in zip(ideals, found) if g is not None]
+if len(principal) != expected or any(FracIdealR.from_elems(I.base, [g]) != I for I, g in principal):
+    raise SystemExit(f"wrong answers: {len(principal)} principal, expected {expected}")
+print(json.dumps(times))
+"""
+PRINCIPAL_SMALL_COUNT = 1221
+
 # log10 of y: the DEEP one on the last tree only
 PRINCIPAL_CASES = [4, 5, 6]
 DEEP_PRINCIPAL_CASES = [30]
@@ -244,6 +272,7 @@ def cases(families):
         for deep, group in ((False, PRINCIPAL_CASES), (True, DEEP_PRINCIPAL_CASES)):
             for k in group:
                 yield f"principal/d-5/y1e{k}", PRINCIPAL, [k, SEARCH_REPEATS], deep
+        yield "principal/small", PRINCIPAL_SMALL, [SEARCH_REPEATS, PRINCIPAL_SMALL_COUNT], False
 
 
 def run_case(tree, code, args):

@@ -90,7 +90,7 @@ def _parse_matrix(ring, doc, key):
 def _parse_elem(ring, x):
     if isinstance(x, str):
         return ring.parse(x)
-    if isinstance(x, int):
+    if type(x) is int:
         return ring.from_int(x)
     raise InputError(f"matrix entries must be strings or integers, got {x!r}")
 

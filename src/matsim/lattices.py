@@ -131,10 +131,6 @@ class QLattice:
         images = [_act(r, M) for M in actions for r in self.rows]
         return tuple(tuple(r) for r in hnf_int(list(self.rows) + images) if any(r)) == self.rows
 
-    def scaled(self, q: Fraction):
-        q = Fraction(q)
-        return QLattice.from_vectors([[c * q for c in v] for v in self.vectors()])
-
     def index_in(self):
         """For a full-rank lattice: covolume relative to Z^dim (pivot product)."""
         n = len(self.rows[0])
@@ -157,14 +153,19 @@ class FracIdealR:
     lat: QLattice
 
     @classmethod
-    def from_elems(cls, base, elems, check=True):
-        lat = QLattice.from_vectors([(e.y, e.x) for e in elems], base.actions)
+    def from_vectors(cls, base, vecs, check=True):
+        """The R-span of vectors in (w-part, 1-part) coordinates."""
+        lat = QLattice.from_vectors(vecs, base.actions)
         if lat.rank != 2:
             raise NotFullRank("ideal must have rank 2 over Z")
         out = cls(base, lat)
         if check:
             out._check_module()
         return out
+
+    @classmethod
+    def from_elems(cls, base, elems, check=True):
+        return cls.from_vectors(base, [(e.y, e.x) for e in elems], check)
 
     def _check_module(self):
         invariant(self.lat.closed_under(self.base.actions), "not closed under multiplication by w")
@@ -173,16 +174,12 @@ class FracIdealR:
         return [ExtElem(self.base, v[1], v[0]) for v in self.lat.vectors()]
 
     def __mul__(self, other):
-        prods = [a * b for a in self.elems() for b in other.elems()]
-        return FracIdealR.from_elems(self.base, prods, check=False)
-
-    def scaled(self, q):
-        if isinstance(q, ExtElem):
-            return FracIdealR.from_elems(self.base, [q * e for e in self.elems()], check=False)
-        return FracIdealR(self.base, self.lat.scaled(Fraction(q)))
+        den = self.lat.den * other.lat.den
+        prods = [[Fraction(c, den) for c in r] for r in _products(self, other)]
+        return FracIdealR.from_vectors(self.base, prods, check=False)
 
     def conj(self):
-        return FracIdealR.from_elems(self.base, [e.conj() for e in self.elems()], check=False)
+        return FracIdealR.from_vectors(self.base, [(-c, r) for c, r in self.lat.vectors()], check=False)
 
     def norm_index(self) -> Fraction:
         """Covolume relative to R = Z + Zw (the ideal norm for integral ideals)."""
@@ -190,19 +187,26 @@ class FracIdealR:
 
     def encode(self):
         """Classical presentation "(n)" or "(n, r + c*w)"."""
-        (c0, r0), second = self.lat.rows
-        invariant(second[0] == 0, "the HNF of a rank-2 lattice is upper triangular")
-        n = Fraction(second[1], self.den_scalar())
-        gen2 = ExtElem(self.base, Fraction(r0, self.den_scalar()), Fraction(c0, self.den_scalar()))
-        if gen2.y and n and gen2 == self.base.omega * n:
-            return f"({QQ.encode(n)})"
-        return f"({QQ.encode(n)}, {gen2.encode()})"
+        (c0, r0), (zero, n0) = self.lat.rows
+        invariant(zero == 0, "the HNF of a rank-2 lattice is upper triangular")
+        den = self.den_scalar()
+        n = QQ.encode(Fraction(n0, den))
+        if (c0, r0) == (n0, 0):
+            return f"({n})"
+        return f"({n}, {self.base.elem(Fraction(r0, den), Fraction(c0, den)).encode()})"
 
     def den_scalar(self):
         return self.lat.den
 
     def __repr__(self):
         return f"FracIdealR({self.encode()})"
+
+
+def _products(I1: FracIdealR, I2: FracIdealR):
+    """Integer rows (w-part, 1-part) of the products of the two Z-bases, over
+    den1*den2: (x1 + y1*w)(x2 + y2*w) = (x1*x2 + d*y1*y2) + (x1*y2 + x2*y1)*w."""
+    d = I1.base.d
+    return [[x1 * y2 + x2 * y1, x1 * x2 + d * y1 * y2] for y1, x1 in I1.lat.rows for y2, x2 in I2.lat.rows]
 
 
 def unit_ideal(base: QuadBase) -> FracIdealR:
@@ -216,24 +220,25 @@ def ideal_mul(I1: FracIdealR, I2: FracIdealR) -> FracIdealR:
 def is_principal(base: QuadBase, ideal: FracIdealR):
     """Generator of the ideal, or None.
 
-    Scaled to an integral ideal I with HNF Z-basis (u, v), every alpha in I
-    has N(alpha) >= N(I), with equality exactly when alpha*R = I.  So I is
-    principal iff the Gauss-reduced form of N(x*u + y*v)/N(I) has a = 1,
-    and then p*u + q*v is a generator, (p, q) the vector reaching a.  Of its
-    associates (times -1, and w when d = -1) the one returned has x >= 0,
-    then the least |y|, then y > 0.
+    The rows (c, r), (0, n) of the ideal over its denominator are the HNF
+    Z-basis u = r + c*w, v = n of an integral ideal I of norm c*n.  Every
+    alpha in I has N(alpha) >= N(I), with equality exactly when alpha*R = I.
+    So I is principal iff the Gauss-reduced form of N(x*u + y*v)/N(I) has
+    a = 1, and then p*u + q*v is a generator, (p, q) the vector reaching a.
+    Of its associates (times -1, and w when d = -1, with
+    w*(x + y*w) = d*y + x*w) the one returned has x >= 0, then the least
+    |y|, then y > 0.
     """
-    scale = ideal.den_scalar()
-    integral = ideal.scaled(Fraction(scale))
-    u, v = integral.elems()
-    reduced, ((p, q), _) = gauss_reduce(norm_form(u, v, integral.norm_index()))
+    (c, r), (_, n) = ideal.lat.rows
+    reduced, ((p, q), _) = gauss_reduce(norm_form((r, c), (n, 0), c * n, 0, base.d))
     if reduced.a != 1:
         return None
-    g = p * u + q * v
-    units = (1, -1, base.omega, -base.omega) if base.d == -1 else (1, -1)
-    alpha = min((e * g for e in units), key=lambda a: (a.x < 0, abs(a.y), a.y < 0))
-    invariant(FracIdealR.from_elems(base, [alpha], check=False) == integral, "the generator must regenerate the ideal")
-    return alpha / scale
+    x, y = p * r + q * n, p * c
+    units = [(x, y), (-x, -y)] + ([(base.d * y, x), (-base.d * y, -x)] if base.d == -1 else [])
+    x, y = min(units, key=lambda e: (e[0] < 0, abs(e[1]), e[1] < 0))
+    generated = QLattice.from_vectors([(y, x)], base.actions)
+    invariant(generated.rows == ideal.lat.rows, "the generator must regenerate the ideal")
+    return base.elem(Fraction(x, ideal.lat.den), Fraction(y, ideal.lat.den))
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +297,11 @@ def lattice_from_generators(ctx: RelExt, gens) -> LLattice:
 
 def intersect_base(J: LLattice) -> FracIdealR:
     """J cap K: kernel of the projection onto the (theta, w*theta) part."""
-    den = J.lat.den
-    rows = [[r[2], r[3]] for r in J.lat.rows]
-    kernel = left_kernel_int(rows)
-    elems = []
-    for comb in kernel:
-        vec = [
-            sum(comb[i] * J.lat.rows[i][j] for i in range(len(comb))) for j in range(4)
-        ]
-        invariant(vec[2] == 0 and vec[3] == 0, "a kernel vector has a theta-part")
-        elems.append(ExtElem(J.ctx.base, Fraction(vec[0], den), Fraction(vec[1], den)))
-    return FracIdealR.from_elems(J.ctx.base, elems)
+    rows, den = J.lat.rows, J.lat.den
+    kernel = left_kernel_int([r[2:] for r in rows])
+    vecs = [[sum(k * r[j] for k, r in zip(comb, rows)) for j in range(4)] for comb in kernel]
+    invariant(all(v[2] == v[3] == 0 for v in vecs), "a kernel vector has a theta-part")
+    return FracIdealR.from_vectors(J.ctx.base, [(Fraction(v[1], den), Fraction(v[0], den)) for v in vecs])
 
 
 def coefficient_ideal(J: LLattice, x0: ExtElem) -> FracIdealR:
@@ -364,14 +363,14 @@ def free_basis(J: LLattice, dec: Decomposition):
     if g is None:
         return None
     v = x0 + _find_u0(J, x0, frak_a, frak_b)
+    # the Bezout system over st's denominator, which divides den_a*den_b
+    k = frak_a.den_scalar() * frak_b.den_scalar() // st.den_scalar()
+    target = (g.y * st.den_scalar(), g.x * st.den_scalar())
+    invariant(all(c.denominator == 1 for c in target), "coordinates must be integral after scaling")
+    sol = solve_int([[c // k for c in r] for r in _products(frak_a, frak_b)], [int(c) for c in target])
+    invariant(sol is not None, "the Steinitz generator must lie in the product lattice")
     a1, a2 = frak_a.elems()
     b1v, b2v = frak_b.elems()
-    prods = [a1 * b1v, a1 * b2v, a2 * b1v, a2 * b2v]
-    sol = solve_int(
-        [_scaled_pair(p, st.den_scalar()) for p in prods],
-        _scaled_pair(g, st.den_scalar()),
-    )
-    invariant(sol is not None, "the Steinitz generator must lie in the product lattice")
     B1 = sol[0] * b1v + sol[1] * b2v
     B2 = sol[2] * b1v + sol[3] * b2v
     basis1 = a1 * v - B2
@@ -381,18 +380,13 @@ def free_basis(J: LLattice, dec: Decomposition):
     return (basis1, basis2)
 
 
-def _scaled_pair(e: ExtElem, den):
-    x = e.y * den, e.x * den
-    invariant(all(c.denominator == 1 for c in x), "coordinates must be integral after scaling")
-    return [int(x[0]), int(x[1])]
-
-
 def _find_u0(J: LLattice, x0: ExtElem, frak_a: FracIdealR, frak_b: FracIdealR):
     """u0 in K making the coefficient ideal of x0 + u0 equal to frak_a.
 
-    For each generator k of frak_a pick j in J with theta-part k*x0; then
-    u0 must satisfy u0 = proj(j)/k modulo (1/k)(J cap K), an intersection of
-    two affine lattices in K.
+    For each generator k of frak_a pick j in J with the theta-part of k*x0;
+    then k*(x0 + u0) - j lies in J cap K, so u0 = proj(j)/k - x0.x modulo
+    (1/k)(J cap K) (x0.x the K-part of x0), an intersection of two affine
+    lattices in K.
     """
     base = J.ctx.base
     dens = J.lat.den
@@ -406,7 +400,7 @@ def _find_u0(J: LLattice, x0: ExtElem, frak_a: FracIdealR, frak_b: FracIdealR):
         invariant(comb is not None, "frak_a generators are attained on J")
         j = [sum(comb[i] * J.lat.rows[i][c] for i in range(4)) for c in range(4)]
         proj = ExtElem(base, Fraction(j[0], dens), Fraction(j[1], dens))
-        w_i = proj / k
+        w_i = proj / k - x0.x
         lam = [e / k for e in frak_b.elems()]
         conds.append((w_i, lam))
     (w1, lam1), (w2, lam2) = conds

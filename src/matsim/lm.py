@@ -34,7 +34,7 @@ from .errors import (
 )
 from .intlin import field_solve
 from .polys import MonicPoly, char_poly_n, is_separable, mul_mod, poly_gcd
-from .rings import QQ, ExtElem, FpTLoc, QuadAlgebra, QuadExt, Rationals, ZLoc
+from .rings import FpTLoc, QuadExt, Rationals, ZLoc
 
 _KRYLOV_SEED = 20240817
 
@@ -276,14 +276,16 @@ def reduce_form(F: BQForm) -> BQForm:
     return gauss_reduce(F)[0]
 
 
-def norm_form(u, v, n) -> BQForm:
-    """The form N(x*u + y*v)/n; its middle coefficient is the polarization
-    N(u + v) - N(u) - N(v), over n."""
-    fa, fc = u.norm() / n, v.norm() / n
-    coeffs = (fa, (u + v).norm() / n - fa - fc, fc)
-    if any(x.denominator != 1 for x in coeffs):
+def norm_form(u, v, n, a, b) -> BQForm:
+    """The form N(x*u + y*v)/n for coordinate pairs u, v of x + y*theta, theta^2 = a*theta + b,
+    so N(x + y*theta) = x^2 + a*x*y - b*y^2; the middle coefficient is N(u + v) - N(u) - N(v), over n."""
+    def N(x, y):
+        return x * x + a * x * y - b * y * y
+    fa, fc = N(*u), N(*v)
+    coeffs = (fa, N(u[0] + v[0], u[1] + v[1]) - fa - fc, fc)
+    if any(c % n for c in coeffs):
         raise NotAnIdeal("norm form is not integral: not an ideal basis")
-    return BQForm(*map(int, coeffs))
+    return BQForm(*(int(c // n) for c in coeffs))
 
 
 def ideal_norm(J: IdealBasis):
@@ -303,9 +305,7 @@ def ideal_to_form(J: IdealBasis) -> BQForm:
     if disc >= 0:
         raise NotImaginaryQuadratic(f"disc {disc} is not negative")
     ideal_to_matrix(f, J)  # validates rank and the ideal property
-    # norms in Q[theta]
-    alg = QuadAlgebra(QQ, f.a, f.b)
-    return norm_form(*(ExtElem(alg, *c) for c in J.basis), ideal_norm(J))
+    return norm_form(*J.basis, ideal_norm(J), f.a, f.b)
 
 
 def scale_ideal(J: IdealBasis, alpha) -> IdealBasis:

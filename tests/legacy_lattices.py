@@ -12,6 +12,11 @@ with x >= 0, then the least |y|, then y > 0.  It costs sqrt(N/|d|) steps.
 closure checks from before the action of w and theta became integer
 matrices: they multiply ExtElems over Fractions one element at a time and
 solve one membership per product.
+
+``ideal_mul``, ``ideal_conj`` and ``norm_form`` are the ideal product, the
+conjugate ideal and the norm form from before they read integer coordinate
+rows: ExtElem products of the two Z-bases, ExtElem conjugates, and three
+ExtElem norms with the polarization N(u + v) - N(u) - N(v).
 """
 
 from fractions import Fraction
@@ -70,7 +75,7 @@ def is_principal(base, ideal):
     scaling to an integral ideal; norms are positive definite so the box is
     exhaustive."""
     scale = ideal.den_scalar()
-    integral = ideal.scaled(Fraction(scale))
+    integral = FracIdealR(base, QLattice(1, ideal.lat.rows))  # scale * ideal
     N = integral.norm_index()
     invariant(N.denominator == 1, "the norm of an integral ideal is an integer")
     N = int(N)
@@ -88,3 +93,17 @@ def is_principal(base, ideal):
                     return alpha / scale
         y += 1
     return None
+
+
+def ideal_mul(I1, I2):
+    return FracIdealR.from_elems(I1.base, [a * b for a in I1.elems() for b in I2.elems()], check=False)
+
+
+def ideal_conj(ideal):
+    return FracIdealR.from_elems(ideal.base, [e.conj() for e in ideal.elems()], check=False)
+
+
+def norm_form(u, v, n):
+    """The coefficients of N(x*u + y*v)/n for ExtElems u and v."""
+    fa, fc = u.norm() / n, v.norm() / n
+    return (fa, (u + v).norm() / n - fa - fc, fc)

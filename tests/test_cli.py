@@ -1,8 +1,10 @@
 import importlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from matsim import lattices
 from matsim.cli import main
 
 Z2 = '{"kind":"ZLoc","p":2}'
@@ -69,6 +71,19 @@ def test_lattice_free_x2_minus_2(capsys):
     assert doc["steinitz"] == "(2)"
     assert doc["steinitz_generator"] == "2"
     assert "free_basis" in doc and "mult_matrix" in doc
+
+
+def test_lattice_free_x0_with_a_k_part(capsys):
+    # u0 ignored the K-part 1/2 of x0, and the basis check exited 4
+    gens = [["1", "0", "0", "0"], ["0", "0", "1", "0"]]
+    payload = json.dumps({"d": -5, "f": "x^2 - 2", "generators": gens, "x0": ["1/2", "0", "1", "0"]})
+    code, out, _ = run(capsys, "lattice-free", "--in", payload)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["free"] is True and doc["x0"] == ["1/2", "0", "1", "0"]
+    ctx = lattices.RelExt.from_poly_string(lattices.QuadBase(-5), "x^2 - 2")
+    span = lattices.lattice_from_generators(ctx, [[Fraction(c) for c in v] for v in doc["free_basis"]])
+    assert span == lattices.lattice_from_generators(ctx, [[Fraction(c) for c in v] for v in gens])
 
 
 def test_lattice_free_rejects_f_outside_the_order(capsys):
@@ -351,8 +366,13 @@ def test_unramified_reducible_reduction_message(capsys, base, var):
          '"ramification":"unramified"}', "--in", '{"matrix": [["1","0"],["0","1"]]}'],
         ["lm-to-ideal", "--ring", '{"kind":"ZZ"}', "--in", '{"f": "x^2+6", "matrix": 5}'],
         ["lm-to-matrix", "--ring", '{"kind":"ZZ"}', "--in", '{"f": "x^2+6", "basis": 7}'],
+        # JSON booleans were read as the entries 1 and 0
+        ["classify", "--ring", Z2, "--in", '{"matrix": [[true, 1], [0, 1]]}'],
+        ["lm-to-ideal", "--ring", '{"kind":"ZZ"}', "--in", '{"f": "x^2+1", "matrix": [[false, -1], [true, 0]]}'],
+        ["lm-to-matrix", "--ring", '{"kind":"ZZ"}', "--in", '{"f": "x^2+1", "basis": [[true, 0], [0, 1]]}'],
     ],
-    ids=["ring-list", "minpoly-int", "lm-matrix-int", "lm-basis-int"],
+    ids=["ring-list", "minpoly-int", "lm-matrix-int", "lm-basis-int", "classify-bool", "lm-matrix-bool",
+         "lm-basis-bool"],
 )
 def test_malformed_input_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -23,7 +23,8 @@ from matsim.lattices import (
     steinitz,
     unit_ideal,
 )
-from matsim.rings import ExtElem
+from matsim.lm import norm_form
+from matsim.rings import QQ, ExtElem, QuadAlgebra
 
 from conftest import qmat_det, qmat_mul, run_optimized
 
@@ -225,6 +226,39 @@ def test_is_principal_matches_the_box_scan(d, gens):
     assert is_principal(base, ideal) == old.is_principal(base, ideal)
 
 
+D_SMALL = st.sampled_from([-1, -2, -5, -6, -10, -13])
+SMALL_GEN = st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=D_SMALL, g1=st.tuples(SMALL_GEN, SMALL_GEN), g2=st.tuples(SMALL_GEN, SMALL_GEN))
+def test_ideal_arithmetic_matches_the_extelem_path(d, g1, g2):
+    base = QuadBase(d)
+    elems = [[_gen(base, *g) for g in gens] for gens in (g1, g2)]
+    if not all(any(e) for e in elems):
+        return
+    I1, I2 = (FracIdealR.from_elems(base, e) for e in elems)
+    prod, conj = ideal_mul(I1, I2), I1.conj()
+    assert prod == old.ideal_mul(I1, I2)
+    assert conj == old.ideal_conj(I1)
+    # I*conj(I) = (N(I)) is principal; the generator itself must agree
+    for ideal in (prod, conj, ideal_mul(I1, conj)):
+        assert is_principal(base, ideal) == old.is_principal(base, ideal)
+
+
+INT = st.integers(-50, 50)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=D_SMALL, a=INT, b=INT, u=st.tuples(INT, INT), v=st.tuples(INT, INT))
+def test_norm_form_matches_extelem_norms(d, a, b, u, v):
+    # on Z[theta], theta^2 = a*theta + b, and on Z[w], w^2 = d
+    for alg in (QuadAlgebra(QQ, a, b), QuadBase(d)):
+        F = norm_form(u, v, 1, alg.mp_a, alg.mp_b)
+        ref = old.norm_form(*(ExtElem(alg, Fraction(x), Fraction(y)) for x, y in (u, v)), 1)
+        assert (F.a, F.b, F.c) == ref
+
+
 class TestSteinitzAndFreeness:
     def test_sqrt2_lattice(self, sqrt2_lattice):
         _, J = sqrt2_lattice
@@ -338,6 +372,21 @@ def test_integer_actions_match_the_extelem_path(ctx, gens, vecs):
     ideal = old.ideal_span(base, elems)
     if ideal.rank == 2:
         assert FracIdealR.from_elems(base, elems).lat == ideal
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ctx=rel_exts(), gens=st.lists(VEC, min_size=1, max_size=2), x0=VEC)
+def test_freeness_does_not_depend_on_x0(ctx, gens, x0):
+    if not (x0[2] or x0[3]):
+        return  # x0 must lie outside K
+    try:
+        J = lattice_from_generators(ctx, gens)
+    except NotFullRank:
+        return
+    basis = is_free(J, lelem(ctx, x0))
+    assert (basis is None) == (is_free(J) is None)
+    if basis is not None:
+        assert lattice_from_generators(ctx, list(basis)) == J
 
 
 class TestGaussianWitness:
