@@ -50,6 +50,13 @@ shared machine hits them alike.  Families (``--family``, default all):
   per repeat; the count of principal answers must be PRINCIPAL_SMALL_COUNT
   on every tree, and each generator must regenerate its ideal, or the sweep
   stops.
+* ``lattice``: ``is_free`` of J = I*R[theta] over Z[sqrt(-5)], f from
+  ``bench/workloads.py``'s lattice polynomials, for 20 seeded ideals
+  I = (n, r + w) of norm n ~ 10^k, k = 2, 4, 8, 16, built as
+  ``ideal_lattice`` builds its lattices; seconds per lattice, and each row
+  after the first the growth factor per factor of 10 in N(I).  Every J
+  must come out free (its Steinitz class I^2 is principal, as the class
+  group has order 2), or the sweep stops.
 
 ``--e2e`` instead runs ``bench/run.py --trace 0`` unchanged (its own run
 length) in each tree, ``--pairs`` times: pair i uses seed
@@ -82,7 +89,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
-FAMILIES = ("arith", "witness", "gc", "search", "oracle", "principal")
+FAMILIES = ("arith", "witness", "gc", "search", "oracle", "principal", "lattice")
 SEARCH_REPEATS = 5
 BENCH_TIMEOUT_S = 900  # bench/run.py: its worker, five set-up runs, and tracing
 
@@ -233,6 +240,37 @@ print(json.dumps(times))
 """
 PRINCIPAL_SMALL_COUNT = 1221
 
+LATTICE = """
+import json, random, sys, time
+import workloads
+from matsim.lattices import QuadBase, RelExt, is_free, lattice_from_generators, lelem
+k, count, repeats = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+rng = random.Random(k)
+base = QuadBase(-5)
+lattices = []
+for _ in range(count):
+    ctx = RelExt.from_poly_string(base, rng.choice(workloads.LATTICE_POLYS))
+    # I = (n, r + w) with n | r^2 + 5 of size ~10^k: r^2 + 5 over one of its
+    # small divisors, as ideal_lattice's generators without its divisor scan
+    r = rng.randint(10 ** (k // 2), 3 * 10 ** (k // 2))
+    m = r * r + 5
+    n = m // rng.choice([g for g in range(1, 50) if m % g == 0])
+    lattices.append(lattice_from_generators(ctx, [lelem(ctx, (n, 0, 0, 0)), lelem(ctx, (r % n, 1, 0, 0))]))
+times = []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    found = [is_free(J) for J in lattices]
+    times.append((time.perf_counter() - t0) / count)
+# J = I*R[theta] has Steinitz class I^2, principal as Cl(Z[sqrt -5]) has order 2
+free = sum(b is not None for b in found)
+if free != count:
+    raise SystemExit(f"wrong answers: {free} of {count} lattices free")
+print(json.dumps(times))
+"""
+# log10 of N(I), and lattices per case
+LATTICE_CASES = [2, 4, 8, 16]
+LATTICE_COUNT = 20
+
 # log10 of y: the DEEP one on the last tree only
 PRINCIPAL_CASES = [4, 5, 6]
 DEEP_PRINCIPAL_CASES = [30]
@@ -273,6 +311,9 @@ def cases(families):
             for k in group:
                 yield f"principal/d-5/y1e{k}", PRINCIPAL, [k, SEARCH_REPEATS], deep
         yield "principal/small", PRINCIPAL_SMALL, [SEARCH_REPEATS, PRINCIPAL_SMALL_COUNT], False
+    if "lattice" in families:
+        for k in LATTICE_CASES:
+            yield f"lattice/ideal/N1e{k}", LATTICE, [k, LATTICE_COUNT, SEARCH_REPEATS], False
 
 
 def run_case(tree, code, args):
@@ -301,12 +342,13 @@ def sweep(trees, families):
     return out
 
 
-# family -> the separator before a row's level: N for oracle, log10 y for principal
-LEVELS = {"oracle": "/N", "principal": "/y1e"}
+# family -> the separator before a row's level: N for oracle, log10 y for
+# principal, log10 N(I) for lattice
+LEVELS = {"oracle": "/N", "principal": "/y1e", "lattice": "/N1e"}
 
 
 def add_growth(out, name):
-    """For an oracle or principal row at some level, each tree's factor per
+    """For an oracle, principal or lattice row at some level, each tree's factor per
     level against the row of the same group at the highest lower level that
     ran on it."""
     mark = LEVELS.get(name.partition("/")[0])

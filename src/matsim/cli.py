@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import lattices as lat
 from . import lm
@@ -36,7 +35,7 @@ from .classify import (
 from .errors import InvariantViolation, MatsimError, invariant
 from .oracle import DEFAULT_BUDGET, conj_search_mod
 from .polys import parse_monic
-from .rings import ring_from_json
+from .rings import QQ, ring_from_json
 
 
 class InputError(Exception):
@@ -47,8 +46,11 @@ def _read_source(arg):
     if arg == "-":
         return sys.stdin.read()
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {arg}: {exc}") from exc
     return arg
 
 
@@ -92,7 +94,7 @@ def _parse_elem(ring, x):
         return ring.parse(x)
     if type(x) is int:
         return ring.from_int(x)
-    raise InputError(f"matrix entries must be strings or integers, got {x!r}")
+    raise InputError(f"entries must be strings or integers, got {x!r}")
 
 
 def _oracle_level(doc):
@@ -221,7 +223,7 @@ def cmd_lm_to_matrix(args):
 def _lattice_vector(ctx, v):
     if type(v) is not list:
         raise ValueError(f"a coordinate vector is a JSON list, got {json.dumps(v)}")
-    return lat.lelem(ctx, [Fraction(str(c)) for c in v])
+    return lat.lelem(ctx, [_parse_elem(QQ, c) for c in v])
 
 
 def cmd_lattice_free(args):
@@ -315,7 +317,11 @@ def main(argv=None):
     except (ValueError, ZeroDivisionError, KeyError, RecursionError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
-    _emit(args, result)
+    try:
+        _emit(args, result)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
+        return 2
     return 0
 
 

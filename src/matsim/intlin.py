@@ -1,4 +1,5 @@
-"""Small exact linear algebra over Z and GF(p)[t]: HNF, Howell echelon, kernels.
+"""Small exact linear algebra: integer HNF and solving, Gauss-Jordan over a
+field, and the Howell echelon over Z/p^H or GF(p)[t]/(t^H).
 
 Everything here works on tiny matrices (at most 8x16), so the simple
 textbook algorithms are used throughout.  The Hermite form convention is
@@ -16,95 +17,68 @@ from .rings import _int_val
 # integer HNF
 
 
-def hnf_int(rows):
-    """Canonical Hermite normal form of the Z-span of the given rows."""
-    H, _ = hnf_with_transform(rows)
-    return H
+def _hnf(m, nc):
+    """(rows, pivots): the rows of m in canonical row HNF on their first nc
+    columns, with the pivot (row, column) pairs.
 
-
-def hnf_with_transform(rows):
-    """(H, U) with U unimodular, U * rows = H in canonical row HNF.
-
-    Zero rows of H sink to the bottom; the matching rows of U span the
-    left kernel of the input.
+    Every row operation acts on the whole row, so columns after nc ride
+    along: with identity columns appended they become the unimodular
+    transform.  Rows that are zero on the first nc columns sink to the bottom.
     """
-    m = [list(map(int, r)) for r in rows]
+    m = [list(map(int, r)) for r in m]
     nr = len(m)
-    nc = len(m[0]) if nr else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    row = 0
+    pivots = []
     for col in range(nc):
-        piv = None
-        for i in range(row, nr):
-            if m[i][col]:
-                piv = i
-                break
+        row = len(pivots)
+        if row == nr:
+            break
+        piv = next((i for i in range(row, nr) if m[i][col]), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        u[row], u[piv] = u[piv], u[row]
         # clear below via gcd steps
         for i in range(row + 1, nr):
             while m[i][col]:
                 q = m[row][col] // m[i][col]
                 m[row] = [a - q * b for a, b in zip(m[row], m[i])]
-                u[row] = [a - q * b for a, b in zip(u[row], u[i])]
                 m[row], m[i] = m[i], m[row]
-                u[row], u[i] = u[i], u[row]
         if m[row][col] < 0:
             m[row] = [-a for a in m[row]]
-            u[row] = [-a for a in u[row]]
-        row += 1
-        if row == nr:
-            break
+        pivots.append((row, col))
     # reduce entries above each pivot, left to right: later reductions only
     # touch columns to the right of already-reduced pivots
-    pivots = []
-    r = 0
-    for col in range(nc):
-        if r < len(m) and r < nr and m[r][col]:
-            pivots.append((r, col))
-            r += 1
     for r, col in pivots:
         for i in range(r):
             q = m[i][col] // m[r][col]
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-    return m, u
+    return m, pivots
 
 
-def left_kernel_int(rows):
-    """Basis rows x with x * M = 0, over Z."""
-    H, U = hnf_with_transform(rows)
-    return [U[i] for i in range(len(H)) if not any(H[i])]
+def hnf_int(rows):
+    """Canonical Hermite normal form of the Z-span of the given rows."""
+    return _hnf(rows, len(rows[0]) if rows else 0)[0]
 
 
 def solve_int(rows, target):
-    """Integer row x with x * M = target, or None."""
-    H, U = hnf_with_transform(rows)
+    """Integer row x with x * M = target, or None.
+
+    x is read off the transform that rides along the HNF of M: the target
+    is reduced against the pivot rows, and x gathers the transform part of
+    each row used.
+    """
+    nr, nc = len(rows), len(target)
+    H, pivots = _hnf([list(r) + [int(i == j) for j in range(nr)] for i, r in enumerate(rows)], nc)
     t = list(map(int, target))
-    nc = len(t)
-    coeff = [0] * len(H)
-    pivots = {}
-    r = 0
-    for col in range(nc):
-        if r < len(H) and H[r][col]:
-            pivots[col] = r
-            r += 1
-    for col in range(nc):
-        if t[col] == 0:
-            continue
-        r = pivots.get(col)
-        if r is None or t[col] % H[r][col]:
+    x = [0] * nr
+    for r, col in pivots:
+        if t[col] % H[r][col]:
             return None
         q = t[col] // H[r][col]
-        coeff[r] = q
-        t = [a - q * b for a, b in zip(t, H[r])]
-    if any(t):
-        return None
-    n = len(U)
-    return [sum(coeff[i] * U[i][j] for i in range(n)) for j in range(n)]
+        if q:
+            t = [a - q * b for a, b in zip(t, H[r])]
+            x = [a + q * b for a, b in zip(x, H[r][nc:])]
+    return None if any(t) else x
 
 
 # ---------------------------------------------------------------------------

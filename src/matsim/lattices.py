@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import NotFreeError, NotFullRank, UnsupportedRing, X0InBase, invariant
-from .intlin import field_solve, hnf_int, left_kernel_int, solve_int
+from .intlin import field_solve, hnf_int, solve_int
 from .lm import gauss_reduce, norm_form
 from .polys import parse_monic_quadratic
 from .rings import QQ, ExtElem, QuadAlgebra
@@ -296,12 +296,11 @@ def lattice_from_generators(ctx: RelExt, gens) -> LLattice:
 
 
 def intersect_base(J: LLattice) -> FracIdealR:
-    """J cap K: kernel of the projection onto the (theta, w*theta) part."""
-    rows, den = J.lat.rows, J.lat.den
-    kernel = left_kernel_int([r[2:] for r in rows])
-    vecs = [[sum(k * r[j] for k, r in zip(comb, rows)) for j in range(4)] for comb in kernel]
-    invariant(all(v[2] == v[3] == 0 for v in vecs), "a kernel vector has a theta-part")
-    return FracIdealR.from_vectors(J.ctx.base, [(Fraction(v[1], den), Fraction(v[0], den)) for v in vecs])
+    """J cap K: the rows of J's Hermite form with the theta columns first
+    that have no theta-part (Cohen, GTM 138, 2.4.3)."""
+    H, den = hnf_int([(r[2], r[3], r[0], r[1]) for r in J.lat.rows]), J.lat.den
+    invariant(all(v[0] == v[1] == 0 for v in H[2:]), "a row of J cap K has a theta-part")
+    return FracIdealR.from_vectors(J.ctx.base, [(Fraction(v[3], den), Fraction(v[2], den)) for v in H[2:]])
 
 
 def coefficient_ideal(J: LLattice, x0: ExtElem) -> FracIdealR:
@@ -314,8 +313,8 @@ def coefficient_ideal(J: LLattice, x0: ExtElem) -> FracIdealR:
 
 def default_x0(J: LLattice) -> ExtElem:
     """theta / D where D clears the denominators of the theta-projection."""
-    proj = QLattice.from_vectors([(r[2], r[3]) for r in J.lat.vectors()])
-    D = proj.den
+    den = J.lat.den
+    D = den // gcd(den, *(c for r in J.lat.rows for c in r[2:]))
     return lelem(J.ctx, (0, 0, Fraction(1, D), 0))
 
 
@@ -398,7 +397,7 @@ def _find_u0(J: LLattice, x0: ExtElem, frak_a: FracIdealR, frak_b: FracIdealR):
         invariant(all(t.denominator == 1 for t in tvec), "theta-parts must be integral after scaling")
         comb = solve_int(rows, [int(t) for t in tvec])
         invariant(comb is not None, "frak_a generators are attained on J")
-        j = [sum(comb[i] * J.lat.rows[i][c] for i in range(4)) for c in range(4)]
+        j = _act(comb, J.lat.rows)
         proj = ExtElem(base, Fraction(j[0], dens), Fraction(j[1], dens))
         w_i = proj / k - x0.x
         lam = [e / k for e in frak_b.elems()]

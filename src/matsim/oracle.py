@@ -67,7 +67,7 @@ def conj_search_mod(ring, A: Mat2, B: Mat2, N: int, budget: int = DEFAULT_BUDGET
     L = sum(ring.levels(N))
     if 4 * L >= budget.bit_length() or ring.p ** (4 * L) > budget:
         raise BudgetExceeded(f"search space {ring.p}^(4*{L}) exceeds budget {budget}")
-    U = _least_unit(ring, _solve_congruence(ring, A, B, N, budget), N)
+    U = _least_unit(ring, _solve_congruence(ring, A, B, N), N)
     if U is None:
         return None
     found = ResidueWitness(U, N)
@@ -111,10 +111,10 @@ class _Frame:
         return Mat2(self.ring, [entries[:2], entries[2:]], check_integral=False)
 
 
-def _solve_congruence(ring, A, B, N, budget):
+def _solve_congruence(ring, A, B, N):
     """Generators of the module of X over R/pi^N with X*A = B*X mod pi^N, as
-    canonically lifted Mat2, in Howell echelon order (the declared space is
-    budgeted by conj_search_mod).
+    canonically lifted Mat2 whose ``_Frame`` vectors form a Howell echelon:
+    each leads with a power of pi at a later coordinate than the one before.
 
     The unknowns are the coordinates of ``_Frame``.  Multiplication by c
     acts on the coordinates of one entry by the block whose column g holds
@@ -163,8 +163,9 @@ def _least_unit(ring, gens, N):
     """The first X in the canonical order with a unit determinant among the
     R-combinations of the Mat2 ``gens`` modulo pi^N, or None.
 
-    The scaled coordinates of ``_Frame`` are put into a Howell echelon and
-    fixed in order.  At the row that leads at coordinate k with pi^j, the
+    The ``_Frame`` vectors of ``gens`` are a Howell echelon, as
+    ``_solve_congruence`` returns them; the scaled coordinates are fixed in
+    order.  At the row that leads at coordinate k with pi^j, the
     values left for that coordinate are c + pi^j*t, c the current value mod
     pi^j.  Whether some completion has a unit determinant depends on the
     image mod pi only, which is (current X + t*row + the span of the later
@@ -176,7 +177,10 @@ def _least_unit(ring, gens, N):
     """
     fr = _Frame(ring, N)
     base, d, H, pows, p = fr.base, fr.d, fr.H, fr.pows, ring.p
-    echelon = howell_form([fr.vector(G) for G in gens], p, H)
+    rows = [fr.vector(G) for G in gens]
+    leads = [next((c for c in row if c), None) for row in rows]
+    invariant(all(lead in pows for lead in leads), "a generator does not lead with a power of pi")
+    echelon = [(row.index(lead), pows.index(lead), row) for row, lead in zip(rows, leads)]
 
     # modulo pi: the coordinates g with levels(1)[g] = 1 of each entry, as
     # digits mod p, and the products of those basis elements mod pi

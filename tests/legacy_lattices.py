@@ -17,14 +17,21 @@ solve one membership per product.
 conjugate ideal and the norm form from before they read integer coordinate
 rows: ExtElem products of the two Z-bases, ExtElem conjugates, and three
 ExtElem norms with the polarization N(u + v) - N(u) - N(v).
+
+``intersect_base`` and ``default_x0`` are J cap K and the default direction
+from before they were read off one Hermite form and one gcd: a left kernel
+of the theta-parts, combined with J's rows and put into an HNF again, and
+the denominator of a ``QLattice`` of the theta-projection.
 """
 
 from fractions import Fraction
 from math import isqrt
 
+from legacy_intlin import left_kernel_int
 from matsim.errors import invariant
 from matsim.intlin import solve_int
-from matsim.lattices import FracIdealR, QLattice, lelem
+from matsim.lattices import FracIdealR, LLattice, QLattice, lelem
+from matsim.rings import ExtElem
 
 
 def member(lat, vec):
@@ -107,3 +114,19 @@ def norm_form(u, v, n):
     """The coefficients of N(x*u + y*v)/n for ExtElems u and v."""
     fa, fc = u.norm() / n, v.norm() / n
     return (fa, (u + v).norm() / n - fa - fc, fc)
+
+
+def intersect_base(J: LLattice) -> FracIdealR:
+    """J cap K: kernel of the projection onto the (theta, w*theta) part."""
+    rows, den = J.lat.rows, J.lat.den
+    kernel = left_kernel_int([r[2:] for r in rows])
+    vecs = [[sum(k * r[j] for k, r in zip(comb, rows)) for j in range(4)] for comb in kernel]
+    invariant(all(v[2] == v[3] == 0 for v in vecs), "a kernel vector has a theta-part")
+    return FracIdealR.from_vectors(J.ctx.base, [(Fraction(v[1], den), Fraction(v[0], den)) for v in vecs])
+
+
+def default_x0(J: LLattice) -> ExtElem:
+    """theta / D where D clears the denominators of the theta-projection."""
+    proj = QLattice.from_vectors([(r[2], r[3]) for r in J.lat.vectors()])
+    D = proj.den
+    return lelem(J.ctx, (0, 0, Fraction(1, D), 0))

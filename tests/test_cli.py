@@ -295,6 +295,21 @@ def test_file_io(tmp_path, capsys):
     assert json.loads(outfile.read_text()) == {"class_number": 2}
 
 
+@pytest.mark.parametrize("flag", ["--in", "--ring"])
+def test_directory_as_input_exits_2(tmp_path, capsys, flag):
+    # open() on a directory raised IsADirectoryError (exit 1)
+    argv = {"--in": '{"f": "x^2-5"}', "--ring": Z2, flag: str(tmp_path)}
+    code, out, err = run(capsys, "class-number", "--ring", argv["--ring"], "--in", argv["--in"])
+    assert (code, out) == (2, "") and err.startswith("error: cannot read")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # writing the answer raised FileNotFoundError (exit 1)
+    outfile = tmp_path / "missing" / "result.json"
+    code, out, err = run(capsys, "class-number", "--ring", Z2, "--in", '{"f": "x^2-5"}', "--out", str(outfile))
+    assert (code, out) == (2, "") and err.startswith("error: cannot write")
+
+
 def test_insep_bound_zero_is_used(capsys):
     # the bound 0 used to fall back to the default 10 (lower bound 3)
     for bound, expected in (("0", 1), ("1", 2)):
@@ -370,9 +385,11 @@ def test_unramified_reducible_reduction_message(capsys, base, var):
         ["classify", "--ring", Z2, "--in", '{"matrix": [[true, 1], [0, 1]]}'],
         ["lm-to-ideal", "--ring", '{"kind":"ZZ"}', "--in", '{"f": "x^2+1", "matrix": [[false, -1], [true, 0]]}'],
         ["lm-to-matrix", "--ring", '{"kind":"ZZ"}', "--in", '{"f": "x^2+1", "basis": [[true, 0], [0, 1]]}'],
+        # a float lattice coordinate was read through its repr (1.5 as 3/2)
+        ["lattice-free", "--in", '{"d": -5, "f": "x^2 - 2", "generators": [[1.5, 0, 0, 0], [0, 0, 1, 0]]}'],
     ],
     ids=["ring-list", "minpoly-int", "lm-matrix-int", "lm-basis-int", "classify-bool", "lm-matrix-bool",
-         "lm-basis-bool"],
+         "lm-basis-bool", "lattice-float"],
 )
 def test_malformed_input_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import legacy_lattices as old
@@ -387,6 +387,21 @@ def test_freeness_does_not_depend_on_x0(ctx, gens, x0):
     assert (basis is None) == (is_free(J) is None)
     if basis is not None:
         assert lattice_from_generators(ctx, list(basis)) == J
+
+
+# the lattices of the fixtures above, and the full ring R[sqrt 2]
+@example(ctx=RelExt.from_poly_string(BASE, "x^2 - 2"), gens=[(2, 0, 0, 0), (0, 0, Fraction(1, 2), Fraction(1, 2))])
+@example(ctx=RelExt.from_poly_string(BASE, "x^2 - x + 7"), gens=[(Fraction(1, 3), 0, Fraction(1, 3), 0), (2, 1, 0, 0)])
+@example(ctx=RelExt.from_poly_string(BASE, "x^2 - 2"), gens=[(1, 0, 0, 0)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ctx=rel_exts(), gens=st.lists(VEC, min_size=1, max_size=3))
+def test_intersect_base_and_default_x0_match_the_kernel_path(ctx, gens):
+    try:
+        J = lattice_from_generators(ctx, gens)
+    except NotFullRank:
+        return
+    assert intersect_base(J) == old.intersect_base(J)
+    assert default_x0(J) == old.default_x0(J)
 
 
 class TestGaussianWitness:

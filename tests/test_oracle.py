@@ -12,6 +12,7 @@ from matsim.errors import BudgetExceeded
 from matsim.fppoly import FpPoly
 from matsim.intlin import howell_form
 from matsim.oracle import (
+    _Frame,
     _solve_congruence,
     conj_search_mod,
     level_collapse_check,
@@ -161,7 +162,7 @@ def test_solution_set_matches_enumeration(ring, rng):
         V = rand_gl2(ring, rng)
         pairs = [(A, rand_mat(ring, rng)), (A, (V @ A) @ V.inv()), (near, near)]
         for A_, B_ in pairs:
-            got = _span_keys(ring, _solve_congruence(ring, A_, B_, N, 10**7), N)
+            got = _span_keys(ring, _solve_congruence(ring, A_, B_, N), N)
             assert len(set(got)) == len(got)
             assert sorted(got) == _literal_solution_keys(ring, A_, B_, N)
 
@@ -243,6 +244,28 @@ def test_howell_form_has_the_howell_property(p, H, poly):
             assert tail == {v for v in full if not any(v[:k])}, (rows, k)
 
 
+@pytest.mark.parametrize("ring", RINGS7, ids=IDS7)
+def test_congruence_generators_are_a_howell_echelon(ring, rng):
+    # _least_unit reads its echelon straight from these generators
+    for N in (1, 2, 3):
+        if quotient_size(ring, N) ** 4 > 3 * 10**5:
+            continue
+        fr = _Frame(ring, N)
+        poly = isinstance(fr.pows[0], FpPoly)
+        A = rand_mat(ring, rng)
+        V = rand_gl2(ring, rng)
+        near = _near_identity(ring, rng)
+        for A_, B_ in [(A, rand_mat(ring, rng)), (A, (V @ A) @ V.inv()), (near, near)]:
+            rows = [fr.vector(G) for G in _solve_congruence(ring, A_, B_, N)]
+            leads = [next(k for k, c in enumerate(row) if c) for row in rows]
+            assert leads == sorted(set(leads))
+            assert all(row[k] in fr.pows[: fr.H] for k, row in zip(leads, rows))
+            full = _module_span(rows, 4 * fr.d, ring.p, fr.H, poly)
+            for k in range(4 * fr.d + 1):
+                tail = _module_span([row for col, row in zip(leads, rows) if col >= k], 4 * fr.d, ring.p, fr.H, poly)
+                assert tail == {v for v in full if not any(v[:k])}, (N, k)
+
+
 class TestSoundness:
     @pytest.mark.parametrize("ring", [Z2, Z3, F2], ids=["ZLoc2", "ZLoc3", "FpT2"])
     def test_direction_i_no_modular_witness_implies_not_similar(self, ring, rng):
@@ -313,3 +336,21 @@ def test_kernel_solutions_are_checked_under_python_O():
         "    print('caught', __debug__)\n"
     )
     assert proc.stdout == "caught False\n", proc.stderr
+
+
+def test_echelon_leads_are_checked_under_python_O():
+    # a generator leading with 3, not a power of pi = 2, is no Howell row
+    proc = run_optimized(
+        "from matsim import oracle\n"
+        "from matsim.classify import Mat2\n"
+        "from matsim.errors import InvariantViolation\n"
+        "from matsim.rings import ZLoc\n"
+        "R = ZLoc(2)\n"
+        "oracle._solve_congruence = lambda ring, *args: [Mat2(ring, [[3, 0], [0, 3]])]\n"
+        "A = Mat2(R, [[0, 1], [5, 0]])\n"
+        "try:\n"
+        "    oracle.conj_search_mod(R, A, A, 2)\n"
+        "except InvariantViolation as exc:\n"
+        "    print('caught', __debug__, exc)\n"
+    )
+    assert proc.stdout == "caught False a generator does not lead with a power of pi\n", proc.stderr
