@@ -57,6 +57,12 @@ shared machine hits them alike.  Families (``--family``, default all):
   after the first the growth factor per factor of 10 in N(I).  Every J
   must come out free (its Steinitz class I^2 is principal, as the class
   group has order 2), or the sweep stops.
+* ``import``: the ``-X importtime`` cumulative microseconds of ``matsim``,
+  ``matsim.rings``, ``matsim.polys`` and ``matsim.cli`` when a fresh
+  interpreter runs ``import matsim.cli``, over IMPORT_RUNS interpreters per
+  row (one more runs first, uncounted, so a bytecode cache it writes is
+  not timed).  The import work behind ``bench/run.py``'s ``setup_s``,
+  without its run-to-run spread.
 
 ``--e2e`` instead runs ``bench/run.py --trace 0`` unchanged (its own run
 length) in each tree, ``--pairs`` times: pair i uses seed
@@ -89,7 +95,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
-FAMILIES = ("arith", "witness", "gc", "search", "oracle", "principal", "lattice")
+FAMILIES = ("arith", "witness", "gc", "search", "oracle", "principal", "lattice", "import")
 SEARCH_REPEATS = 5
 BENCH_TIMEOUT_S = 900  # bench/run.py: its worker, five set-up runs, and tracing
 
@@ -271,6 +277,21 @@ print(json.dumps(times))
 LATTICE_CASES = [2, 4, 8, 16]
 LATTICE_COUNT = 20
 
+IMPORT = """
+import json, subprocess, sys
+module, runs = sys.argv[1], int(sys.argv[2])
+times = []
+for _ in range(runs + 1):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import matsim.cli"],
+                          capture_output=True, text=True, check=True)
+    # "import time: <self us> | <cumulative us> | <module, indented by depth>"
+    rows = [line.split("|") for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    times.append(next(int(cum) for _, cum, name in rows if name.strip() == module))
+print(json.dumps(times[1:]))
+"""
+IMPORT_MODULES = ("matsim", "matsim.rings", "matsim.polys", "matsim.cli")
+IMPORT_RUNS = 10
+
 # log10 of y: the DEEP one on the last tree only
 PRINCIPAL_CASES = [4, 5, 6]
 DEEP_PRINCIPAL_CASES = [30]
@@ -314,6 +335,9 @@ def cases(families):
     if "lattice" in families:
         for k in LATTICE_CASES:
             yield f"lattice/ideal/N1e{k}", LATTICE, [k, LATTICE_COUNT, SEARCH_REPEATS], False
+    if "import" in families:
+        for module in IMPORT_MODULES:
+            yield f"import/{module}", IMPORT, [module, IMPORT_RUNS], False
 
 
 def run_case(tree, code, args):

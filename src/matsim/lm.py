@@ -28,13 +28,14 @@ from .errors import (
     IndefiniteForm,
     NotAnIdeal,
     NotImaginaryQuadratic,
+    NotIntegral,
     NotSeparable,
     UnsupportedRing,
     invariant,
 )
 from .intlin import field_solve
 from .polys import MonicPoly, char_poly_n, is_separable, mul_mod, poly_gcd
-from .rings import FpTLoc, QuadExt, Rationals, ZLoc
+from .rings import DVR, Rationals
 
 _KRYLOV_SEED = 20240817
 
@@ -56,15 +57,8 @@ class IntegerRing(Rationals):
     def is_integral(self, x):
         return self.coerce(x).denominator == 1
 
-    def to_json(self):
-        return {"kind": "ZZ"}
-
 
 ZZ = IntegerRing()
-
-
-def _is_dvr(ring):
-    return isinstance(ring, (ZLoc, FpTLoc, QuadExt))
 
 
 def _theta_times(f: MonicPoly, u):
@@ -109,7 +103,7 @@ def _row_times_mat(ring, row, A):
 
 def _clear_scalar(ring, vecs):
     """Nonzero a in R making a*v integral for every coordinate."""
-    if _is_dvr(ring):
+    if isinstance(ring, DVR):
         worst = max((-ring.val(c) for v in vecs for c in v), default=0)
         return pi_pow(ring, int(max(worst, 0)))
     return Fraction(lcm(*(c.denominator for v in vecs for c in v)))
@@ -128,6 +122,8 @@ def matrix_to_ideal(f: MonicPoly, A, ring=None) -> IdealBasis:
     n = f.degree
     if len(A) != n or any(len(row) != n for row in A):
         raise ValueError("matrix shape must be deg f x deg f")
+    if not all(ring.is_integral(x) for row in A for x in row):
+        raise NotIntegral(f"matrix entries must lie in {ring!r}")
     if char_poly_n(ring, A) != f:
         raise CharPolyMismatch("det(xI - A) differs from f")
     if not is_separable(f, ring):
@@ -178,7 +174,7 @@ def _krylov_conjugator(ring, f, A):
 
 def _det_size(ring, d):
     """Preference order for cyclic vectors: unimodular conjugators first."""
-    if _is_dvr(ring):
+    if isinstance(ring, DVR):
         return ring.val(d)
     d = abs(d)
     return (d.numerator * d.denominator, d.denominator)
@@ -330,7 +326,7 @@ def equivalent(J1: IdealBasis, J2: IdealBasis) -> bool:
         F1 = reduce_form(ideal_to_form(J1))
         F2 = reduce_form(ideal_to_form(J2))
         return F1 == F2 or F1 == reduce_form(F2.opposite())
-    if _is_dvr(ring):
+    if isinstance(ring, DVR):
         A = ideal_to_matrix(J1.f, J1)
         B = ideal_to_matrix(J2.f, J2)
         return dvr_similar(ring, Mat2(ring, A), Mat2(ring, B))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import Mat2, pi_pow
+from .classify import Mat2, _theta_matrix, pi_pow
 from .errors import BudgetExceeded, invariant
 from .intlin import howell_form
 from .rings import QuadExt
@@ -268,8 +268,7 @@ def level_collapse_check(ring, f, r, N: int, budget: int = DEFAULT_BUDGET):
     cutoff = min(c, vT // 2)
 
     def mat(j):
-        pij = pi_pow(ring, j)
-        return Mat2(ring, [[-r, pij], [T / pij, a + r]])
+        return _theta_matrix(ring, f, pi_pow(ring, j), r)
 
     def index(x):
         return min(x, vT - x, c)

@@ -9,7 +9,7 @@ The factoring decisions the classification depends on:
   quadratic, substitute x = a*z and solve the additive equation
   z^2 + z = c by a sweep down the degrees of its numerator;
 * over quadratic extensions -- reduce to base-field square/additive
-  decisions through the norm form (see _ext_sqrt / _as_solve_ext).
+  decisions through the norm and trace (see _ext_sqrt / _as_solve_ext).
 
 Roots of a monic quadratic over K are integral (R is integrally closed),
 which is checked on every reducible outcome.
@@ -273,43 +273,29 @@ def _rational_sqrt(q: Fraction):
 def _ext_sqrt(ring: QuadExt, d: ExtElem):
     """Square root in a quadratic extension, characteristic != 2.
 
-    For d = d0 + d1*w with w^2 = A*w + B, a root z = x + y*w satisfies
-    2xy + A y^2 = d1 and x^2 + B y^2 = d0; eliminating x turns Y = y^2
-    into a root of  D_ext*Y^2 - (A*d1/2 + d0)*Y + d1^2/4  over the base.
+    A root z of z^2 = d has a norm n with n^2 = N(d) and a trace t with
+    t^2 = tr(d) + 2n, and z*(z + conj z) = d + n gives z = (d + n)/t.  When
+    t = 0, z = y*(w - A/2) for w^2 = A*w + B, so d = y^2*(A^2/4 + B) lies
+    in the base.
     """
-    base = ring.base
-    A, B = ring.mp_a, ring.mp_b
-    d0, d1 = d.x, d.y
-    two = base.from_int(2)
-    four = base.from_int(4)
-    dext = A * A / four + B
-    if not d1:
-        s = sqrt_in_field(base, d0)
-        if s is not None:
-            return ExtElem(ring, s, base.zero)
-        t = sqrt_in_field(base, d0 / dext)
-        if t is not None:
-            cand = ExtElem(ring, -A * t / two, t)
-            if cand * cand == d:
-                return cand
+    base, A = ring.base, ring.mp_a
+    m = sqrt_in_field(base, d.norm())
+    if m is None:
         return None
-    mid = A * d1 / two + d0
-    disc = mid * mid - dext * d1 * d1
-    s = sqrt_in_field(base, disc)
-    if s is None:
-        return None
-    for sign in (1, -1):
-        y2 = (mid + s) / (two * dext) if sign == 1 else (mid - s) / (two * dext)
-        if not y2:
-            continue
-        y = sqrt_in_field(base, y2)
+    for n in (m, -m):
+        t = sqrt_in_field(base, d.x + d.x + A * d.y + n + n)
+        if t:
+            cand = (d + n) / t
+            break
+    else:  # t = 0 for both n
+        if d.y:
+            return None
+        half = A / base.from_int(2)
+        y = sqrt_in_field(base, d.x / (half * half + ring.mp_b))
         if y is None:
-            continue
-        x = (d1 - A * y2) / (two * y)
-        cand = ExtElem(ring, x, y)
-        if cand * cand == d:
-            return cand
-    return None
+            return None
+        cand = ExtElem(ring, -half * y, y)
+    return cand if cand * cand == d else None
 
 
 def _even_odd_parts(r: FpRat):

@@ -7,6 +7,10 @@ Instances:
 * ``QuadExt(...)``  -- a quadratic extension of either, unramified or
   Eisenstein, with elements ``ExtElem`` storing (x, y) for x + y*w.
 
+All three derive integrality and v(2) from their valuation in ``DVR``;
+ZLoc and FpTLoc share identity, levels, residues and JSON, keyed on
+(kind, p), in ``LocalDVR``.
+
 ``ExtElem`` is the one element type of every quadratic algebra base[w],
 w^2 = a*w + b, in the package: its parent (a ``QuadAlgebra``) is a
 ``QuadExt`` here, or Q(sqrt d) and L = K[theta] in ``lattices``.  The one
@@ -97,11 +101,19 @@ class Rationals:
 QQ = Rationals()
 
 
-class ZLoc(Rationals):
-    """Z localized at the prime p.  K = Q, elements are Fractions."""
+class DVR:
+    """What a DVR instance derives from its valuation ``val``."""
 
-    kind = "ZLoc"
-    pi_name = "p"  # the uniformizer in messages
+    def is_integral(self, x):
+        return self.val(x) >= 0
+
+    def val_of_two(self):
+        return self.val(self.from_int(2))
+
+
+class LocalDVR(DVR):
+    """A base DVR keyed on (kind, p): ZLoc(p) or FpTLoc(p), with R/pi^N
+    enumerated by ``codes(N)`` and read back by ``lift``."""
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -109,13 +121,30 @@ class ZLoc(Rationals):
         self.p = p
 
     def __eq__(self, other):
-        return isinstance(other, ZLoc) and other.p == self.p
+        return type(other) is type(self) and other.p == self.p
 
     def __hash__(self):
-        return hash(("ZLoc", self.p))
+        return hash((self.kind, self.p))
 
     def __repr__(self):
-        return f"ZLoc({self.p})"
+        return f"{self.kind}({self.p})"
+
+    def levels(self, N):
+        return (N,)
+
+    def residues(self, N):
+        """Canonical lifts of R/pi^N in the deterministic element order."""
+        return map(self.lift, self.codes(N))
+
+    def to_json(self):
+        return {"kind": self.kind, "p": self.p}
+
+
+class ZLoc(LocalDVR, Rationals):
+    """Z localized at the prime p.  K = Q, elements are Fractions."""
+
+    kind = "ZLoc"
+    pi_name = "p"  # the uniformizer in messages
 
     def val(self, x):
         x = self.coerce(x)
@@ -123,17 +152,8 @@ class ZLoc(Rationals):
             return INF
         return _int_val(x.numerator, self.p) - _int_val(x.denominator, self.p)
 
-    def is_integral(self, x):
-        return self.val(x) >= 0
-
     def uniformizer(self):
         return Fraction(self.p)
-
-    def val_of_two(self):
-        return self.val(Fraction(2))
-
-    def levels(self, N):
-        return (N,)
 
     def codes(self, n):
         """The residues mod p^n as integers, in the deterministic order."""
@@ -152,39 +172,22 @@ class ZLoc(Rationals):
     def lift(self, rep):
         return Fraction(rep)
 
-    def residues(self, N):
-        """Canonical lifts of R/p^N in the deterministic element order."""
-        return map(self.lift, self.codes(N))
-
-    def parse(self, s):
-        return _parse_rational(s)
-
-    def to_json(self):
-        return {"kind": "ZLoc", "p": self.p}
+    # bound in the class body, where the benchmark's tracer looks them up
+    residues = LocalDVR.residues
+    parse = Rationals.parse
 
 
-class FpTLoc:
+class FpTLoc(LocalDVR):
     """GF(p)[t] localized at (t).  K = GF(p)(t), elements are FpRat."""
 
     kind = "FpTLoc"
     pi_name = "t"
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not a (small) prime")
-        self.p = p
+        super().__init__(p)
         self.char = p
         self.zero = FpRat.const(p, 0)
         self.one = FpRat.const(p, 1)
-
-    def __eq__(self, other):
-        return isinstance(other, FpTLoc) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("FpTLoc", self.p))
-
-    def __repr__(self):
-        return f"FpTLoc({self.p})"
 
     def coerce(self, x):
         if isinstance(x, FpRat):
@@ -205,17 +208,8 @@ class FpTLoc:
         o = x.t_order()
         return INF if o is None else o
 
-    def is_integral(self, x):
-        return self.val(x) >= 0
-
     def uniformizer(self):
         return FpRat.t(self.p)
-
-    def val_of_two(self):
-        return self.val(self.from_int(2))
-
-    def levels(self, N):
-        return (N,)
 
     def codes(self, n):
         """The residues mod t^n: FpPolys of degree < n, in the deterministic
@@ -237,9 +231,7 @@ class FpTLoc:
     def lift(self, rep):
         return FpRat(rep)
 
-    def residues(self, N):
-        """Canonical lifts of R/t^N in the deterministic element order."""
-        return map(self.lift, self.codes(N))
+    residues = LocalDVR.residues
 
     def sort_key(self, x):
         x = self.coerce(x)
@@ -255,9 +247,6 @@ class FpTLoc:
         if i < 0:
             return FpRat(_fppoly(s, self.p))
         return FpRat(_fppoly(s[:i], self.p), _fppoly(s[i + 1 :], self.p))
-
-    def to_json(self):
-        return {"kind": "FpTLoc", "p": self.p}
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +598,7 @@ class QuadAlgebra:
         return ExtElem(self, coeffs.get(0, base.zero), coeffs.get(1, base.zero))
 
 
-class QuadExt(QuadAlgebra):
+class QuadExt(QuadAlgebra, DVR):
     """Quadratic extension of a base DVR by a monic x^2 - a*x - b.
 
     ``ramification`` is "unramified" (reduction mod the maximal ideal is
@@ -675,16 +664,10 @@ class QuadExt(QuadAlgebra):
             return min(vx, vy)
         return min(2 * vx, 2 * vy + 1)
 
-    def is_integral(self, x):
-        return self.val(x) >= 0
-
     def uniformizer(self):
         if self.ramification == "eisenstein":
             return self.gen()
         return self.embed(self.base.uniformizer())
-
-    def val_of_two(self):
-        return self.val(self.from_int(2))
 
     def residue(self, x, N):
         """Canonical representative in R/pi^N: the pair of base residues of

@@ -1,12 +1,17 @@
-"""``polys._as_solve_f2t`` before the degree sweep, with the GF(2)
-elimination it called, kept as a test oracle for ``test_polys.py``.
+"""Earlier bodies of ``polys`` routines, kept as test oracles for
+``test_polys.py``.
 
-The bodies are the old ones: the equation U^2 + U*V = num(c) becomes an
-augmented GF(2) system, one int per row, solved by Gauss-Jordan with the
-free unknown set to 0.
+* ``_as_solve_f2t`` before the degree sweep, with the GF(2) elimination it
+  called: the equation U^2 + U*V = num(c) becomes an augmented GF(2)
+  system, one int per row, solved by Gauss-Jordan with the free unknown
+  set to 0.
+* ``_ext_sqrt`` before the norm-trace identity: an elimination of x that
+  leaves a quadratic in y^2 over the base.
 """
 
 from matsim.fppoly import FpPoly, FpRat
+from matsim.polys import sqrt_in_field
+from matsim.rings import ExtElem
 
 
 def _as_solve_f2t(c: FpRat):
@@ -67,3 +72,45 @@ def _solve_gf2(aug, ncols):
     for i, col in enumerate(pivots):
         sol[col] = aug[i] >> ncols
     return sol
+
+
+def _ext_sqrt(ring, d: ExtElem):
+    """Square root in a quadratic extension, characteristic != 2.
+
+    For d = d0 + d1*w with w^2 = A*w + B, a root z = x + y*w satisfies
+    2xy + A y^2 = d1 and x^2 + B y^2 = d0; eliminating x turns Y = y^2
+    into a root of  D_ext*Y^2 - (A*d1/2 + d0)*Y + d1^2/4  over the base.
+    """
+    base = ring.base
+    A, B = ring.mp_a, ring.mp_b
+    d0, d1 = d.x, d.y
+    two = base.from_int(2)
+    four = base.from_int(4)
+    dext = A * A / four + B
+    if not d1:
+        s = sqrt_in_field(base, d0)
+        if s is not None:
+            return ExtElem(ring, s, base.zero)
+        t = sqrt_in_field(base, d0 / dext)
+        if t is not None:
+            cand = ExtElem(ring, -A * t / two, t)
+            if cand * cand == d:
+                return cand
+        return None
+    mid = A * d1 / two + d0
+    disc = mid * mid - dext * d1 * d1
+    s = sqrt_in_field(base, disc)
+    if s is None:
+        return None
+    for sign in (1, -1):
+        y2 = (mid + s) / (two * dext) if sign == 1 else (mid - s) / (two * dext)
+        if not y2:
+            continue
+        y = sqrt_in_field(base, y2)
+        if y is None:
+            continue
+        x = (d1 - A * y2) / (two * y)
+        cand = ExtElem(ring, x, y)
+        if cand * cand == d:
+            return cand
+    return None

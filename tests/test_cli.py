@@ -1,8 +1,13 @@
+import contextlib
 import importlib
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsim import lattices
 from matsim.cli import main
@@ -158,6 +163,22 @@ def test_lm_to_ideal_needs_a_square_matrix_of_degree_f(capsys, matrix):
     code, out, err = run(capsys, "lm-to-ideal", "--ring", '{"kind":"ZZ"}', "--in", payload)
     assert (code, out) == (2, "")
     assert err == "error: ValueError: matrix shape must be deg f x deg f\n"
+
+
+@pytest.mark.parametrize(
+    "ring, f, matrix",
+    [
+        (Z2, "x^2 + 3", [["1/2", "2"], ["-13/8", "-1/2"]]),
+        ('{"kind":"ZZ"}', "x^3 + 6", [["0", "1/2", "0"], ["0", "0", "1"], ["-12", "0", "0"]]),
+    ],
+    ids=["ZLoc2", "ZZ"],
+)
+def test_lm_to_ideal_non_integral_entry_exits_3(capsys, ring, f, matrix):
+    # both exited 0 with "verified": true and a basis that is not an ideal
+    payload = json.dumps({"f": f, "matrix": matrix})
+    code, out, err = run(capsys, "lm-to-ideal", "--ring", ring, "--in", payload)
+    assert (code, out) == (3, "")
+    assert "NotIntegral" in err
 
 
 def test_classify_witness_verified(capsys):
@@ -436,3 +457,81 @@ def test_class_list_runs_the_residue_search_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "class-list", "--ring", '{"kind":"FpTLoc","p":2}', "--in", payload)
     assert code == 0 and all("ideal" in c for c in json.loads(out)["classes"])
     assert len(calls) == 1
+
+
+# fuzz: one field of a golden job's --in or --ring, mutated
+
+GOLDEN_JOBS = json.loads((Path(__file__).parent / "golden" / "jobs.json").read_text(encoding="utf-8"))
+
+
+def _fuzz_sites():
+    """(argv, i) for every --in or --ring argument argv[i] that is JSON."""
+    for job in GOLDEN_JOBS:
+        argv = job["argv"]
+        for i in range(1, len(argv)):
+            if argv[i - 1] in ("--in", "--ring"):
+                try:
+                    json.loads(argv[i])
+                except json.JSONDecodeError:
+                    continue  # a malformed-input job
+                yield argv, i
+
+
+FUZZ_SITES = list(_fuzz_sites())
+FUZZ_VALUES = [0, 1, -1, 2, 3, 11, 1000, 2.5, True, None, "", "0", "1/0", "x", "t", "w", "(", "1e3", [], {}, [[]]]
+FUZZ_CHARS = "()+-*/^xtw0123456789 ."
+DROP = object()
+
+
+def _paths(doc, path=()):
+    """The path of every node of a JSON document (object keys, list indices)."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutants(value):
+    options = [st.sampled_from(FUZZ_VALUES), st.just(DROP)]
+    if isinstance(value, str):
+        where = st.integers(0, len(value))
+        options.append(st.builds(lambda i, c: value[:i] + c + value[i:], where, st.sampled_from(FUZZ_CHARS)))
+        options.append(where.map(lambda i: value[:i] + value[i + 1 :]))
+    if type(value) is int:
+        options.append(st.integers(-3, 3).map(lambda k: value + k))
+    return st.one_of(options)
+
+
+@st.composite
+def mutated_argv(draw):
+    argv, i = draw(st.sampled_from(FUZZ_SITES))
+    argv = list(argv)
+    doc = json.loads(argv[i])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    new = draw(_mutants(_node(doc, path)))
+    if not path:
+        doc = {} if new is DROP else new
+    elif new is DROP:
+        del _node(doc, path[:-1])[path[-1]]
+    else:
+        _node(doc, path[:-1])[path[-1]] = new
+    argv[i] = json.dumps(doc)
+    return argv
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(argv=mutated_argv())
+def test_fuzzed_golden_jobs_exit_cleanly(argv):
+    # every input is answered or rejected with a documented exit code; an
+    # exception escaping main would be a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -11,6 +11,7 @@ from matsim.errors import (
     IndefiniteForm,
     NotAnIdeal,
     NotImaginaryQuadratic,
+    NotIntegral,
     NotSeparable,
 )
 from matsim.lm import (
@@ -75,6 +76,23 @@ class TestMatrixToIdeal:
         for A in ([[0, -6], [1]], [[]], [[0, -6, 3], [1, 0, 2]], [[0, -6], [1, 0], [0, 0]]):
             with pytest.raises(ValueError, match="deg f x deg f"):
                 matrix_to_ideal(X2P6, A)
+
+    @pytest.mark.parametrize(
+        "ring, f, A",
+        [
+            (ZLoc(2), "x^2 + 3", [["1/2", "2"], ["-13/8", "-1/2"]]),
+            (ZZ, "x^3 + 6", [["0", "1/2", "0"], ["0", "0", "1"], ["-12", "0", "0"]]),
+        ],
+        ids=["ZLoc2", "ZZ"],
+    )
+    def test_entries_must_lie_in_R(self, ring, f, A):
+        # both have char poly f; the ZLoc(2) basis used to come out
+        # [[-13, 0], [-4, 8]], which ideal_to_matrix rejects as no ideal
+        f = parse_monic(f, ring)
+        A = [[ring.parse(x) for x in row] for row in A]
+        assert char_poly_n(ring, A) == f
+        with pytest.raises(NotIntegral):
+            matrix_to_ideal(f, A, ring)
 
     def test_not_separable(self):
         f = parse_monic("x^2", ZZ)

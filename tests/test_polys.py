@@ -13,6 +13,7 @@ from matsim.fppoly import FpPoly, FpRat
 from matsim.polys import (
     MonicPoly,
     _as_solve_f2t,
+    _ext_sqrt,
     artin_schreier_solve,
     disc_quad,
     is_separable,
@@ -22,7 +23,7 @@ from matsim.polys import (
 )
 from matsim.rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
-from conftest import all_instances, instance_ids, rand_integral, run_optimized
+from conftest import all_instances, instance_ids, rand_field_elem, rand_integral, run_optimized
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
@@ -216,6 +217,65 @@ def test_quadratic_accessors_reject_a_cubic_under_python_O():
         "        print(name, __debug__)\n"
     )
     assert proc.stdout == "a False\nb False\n", proc.stderr
+
+
+F3 = FpTLoc(3)
+T3 = FpRat.t(3)
+# (base, A, B, ramification) of w^2 = A*w + B: characteristic 0 over ZLoc(2),
+# ZLoc(3) and ZLoc(5), characteristic 3 over FpTLoc(3); A = 0 and A != 0
+SQRT_EXTENSIONS = [
+    (Z2, 1, 1, "unramified"),
+    (Z2, 0, 2, "eisenstein"),
+    (Z2, 2, 2, "eisenstein"),
+    (Z3, 0, -1, "unramified"),
+    (Z3, 1, 1, "unramified"),
+    (Z3, 3, 3, "eisenstein"),
+    (Z5, 0, 2, "unramified"),
+    (Z5, 1, 3, "unramified"),
+    (Z5, 0, 5, "eisenstein"),
+    (F3, 0, -1, "unramified"),
+    (F3, 1, 1, "unramified"),
+    (F3, 0, T3, "eisenstein"),
+    (F3, T3, T3, "eisenstein"),
+]
+
+
+def _sqrt_inputs(ring, rng):
+    """Squares, random elements, base elements, and d = y^2*(A^2/4 + B),
+    whose roots y*(w - A/2) have trace 0."""
+    base = ring.base
+    half = ring.mp_a / base.from_int(2)
+    trace_free = half * half + ring.mp_b
+    yield ring.zero
+    for _ in range(60):
+        z = rand_field_elem(ring, rng)
+        y = rand_field_elem(base, rng)
+        yield z * z
+        yield z
+        yield ring.embed(y)
+        yield ring.embed(y * y)
+        yield ring.embed(y * y * trace_free)
+        yield ring.embed(y * trace_free)
+
+
+@pytest.mark.parametrize(
+    "base, A, B, ram", SQRT_EXTENSIONS, ids=[f"{e[0]!r}-{e[3]}-{i}" for i, e in enumerate(SQRT_EXTENSIONS)]
+)
+def test_ext_sqrt_matches_the_elimination(base, A, B, ram, rng):
+    ring = QuadExt(base, A, B, ram)
+    for d in _sqrt_inputs(ring, rng):
+        got, want = _ext_sqrt(ring, d), old._ext_sqrt(ring, d)
+        assert (got is None) == (want is None), d
+        if got is not None:
+            assert got * got == d and got in (want, -want), d
+
+
+def test_ext_sqrt_with_trace_zero():
+    # -1 = w^2 over w^2 = -1: the roots +-w have trace 0, and N(-1) = 1
+    ring = QuadExt(Z3, 0, -1, "unramified")
+    assert _ext_sqrt(ring, ring.embed(-1)) in (ring.gen(), -ring.gen())
+    assert _ext_sqrt(ring, ring.embed(-4)) in (2 * ring.gen(), -2 * ring.gen())
+    assert _ext_sqrt(ring, ring.embed(3)) is None
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from matsim.errors import NotIntegral
 from matsim.fppoly import FpPoly, FpRat
-from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc
+from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc, ring_from_json
 
 import legacy_residues
 from legacy_oracle import quotient_size
@@ -261,3 +261,28 @@ def test_residues_match_legacy(ring, rng):
         assert all(ring.lift(ring.residue(r, N)) == r for r in listed)
         N += 1
     assert N > 4
+
+
+PROTOCOL_RINGS = all_instances() + [ZLoc(5), QuadExt(F3, F3.uniformizer(), F3.uniformizer(), "eisenstein")]
+
+
+@pytest.mark.parametrize("ring", PROTOCOL_RINGS, ids=instance_ids() + ["ZLoc5", "EisenF3"])
+def test_descriptor_round_trip(ring):
+    back = ring_from_json(ring.to_json())
+    assert back == ring and hash(back) == hash(ring) and repr(back) == repr(ring)
+    assert back.levels(3) == ring.levels(3)
+    assert list(back.residues(1)) == list(ring.residues(1))
+
+
+def test_base_rings_are_keyed_on_kind_and_p():
+    assert ZLoc(2) != FpTLoc(2) and FpTLoc(3) != ZLoc(3)
+    assert ZLoc(2) != ZLoc(3) and FpTLoc(2) != FpTLoc(3)
+    assert ZLoc(3) == ZLoc(3) and FpTLoc(3) == FpTLoc(3)
+    assert hash(ZLoc(5)) == hash(("ZLoc", 5)) and hash(FpTLoc(3)) == hash(("FpTLoc", 3))
+    assert (repr(ZLoc(5)), repr(FpTLoc(3))) == ("ZLoc(5)", "FpTLoc(3)")
+    assert ZLoc(2).to_json() == {"kind": "ZLoc", "p": 2}
+    assert FpTLoc(3).to_json() == {"kind": "FpTLoc", "p": 3}
+    for p in (1, 4, 10**6 + 3):
+        for cls in (ZLoc, FpTLoc):
+            with pytest.raises(ValueError, match="not a \\(small\\) prime"):
+                cls(p)
