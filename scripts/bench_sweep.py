@@ -16,9 +16,13 @@ shared machine hits them alike.  Families (``--family``, default all):
   Seconds per call, median and quartiles over REPEATS repeats (each times a
   loop of at least 0.05 s with ``timeit``).
 * ``witness``: ``witness(R, A, V*A*V^-1)`` over FpTLoc(3) with entries of
-  degree 8 / 16 / 32 / 64 and over the Eisenstein extension w^2 = t*w of
-  FpTLoc(2) with entries of degree 3, built by ``bench/workloads.py``;
-  seconds per call over five seeded pairs.
+  degree 8 / 16 / 32 / 64, over the Eisenstein extension w^2 = t of
+  FpTLoc(2) with entries of degree 3, over ZLoc(2) with 800-bit entries and
+  over the unramified extension w^2 = w + 1 of ZLoc(2) with entries of size
+  30, built by ``bench/workloads.py``, so each ring kind of the witness
+  check has a row; seconds per call over five seeded pairs.
+* ``val``: ``ZLoc(p).val`` of p^k*u (u a 64-bit unit) at k = 10^3 and 10^4,
+  p in {2, 3}; seconds per call, as ``arith`` times them.
 * ``gc``: the memory blocks (``sys.getallocatedblocks``) that one full
   ``gc.collect()`` releases after 408 ``classify_witness`` ops of seed 1,
   with the automatic collector on as in the benchmark.
@@ -95,7 +99,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
-FAMILIES = ("arith", "witness", "gc", "search", "oracle", "principal", "lattice", "import")
+FAMILIES = ("arith", "witness", "val", "gc", "search", "oracle", "principal", "lattice", "import")
 SEARCH_REPEATS = 5
 BENCH_TIMEOUT_S = 900  # bench/run.py: its worker, five set-up runs, and tracing
 
@@ -126,13 +130,14 @@ WITNESS = """
 import json, random, sys, time
 import workloads
 from matsim import witness
-from matsim.rings import FpTLoc, QuadExt
+from matsim.rings import QuadExt
 kind, size, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-if kind == "FpT3":
-    ring = FpTLoc(3)
-else:
-    f2 = FpTLoc(2)
-    ring = QuadExt(f2, 0, f2.uniformizer(), "eisenstein")
+rings = workloads.dvr_rings()
+f2 = rings["FpT2"]
+rings["EisenF2"] = QuadExt(f2, 0, f2.uniformizer(), "eisenstein")
+ring = rings[kind]
+if kind == "ZLoc2":  # size in bits
+    size = 2**size
 rng = random.Random(7)
 pairs = []
 for _ in range(repeats):
@@ -146,6 +151,24 @@ for A, B in pairs:
     if not w.check(A, B):
         raise SystemExit("witness failed its check")
 print(json.dumps(times))
+"""
+
+VAL = """
+import random, timeit, json, sys
+from matsim.rings import ZLoc
+p, k, repeats = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+ring = ZLoc(p)
+u = random.Random(k).randrange(2**63, 2**64)
+while u % p == 0:
+    u += 1
+x = ring.coerce(p**k * u)
+if ring.val(x) != k:
+    raise SystemExit("wrong valuation")
+timer = timeit.Timer(lambda: ring.val(x))
+number = max(timer.autorange()[0], 1)
+while timer.timeit(number) < 0.05:
+    number *= 2
+print(json.dumps([timer.timeit(number) / number for _ in range(repeats)]))
 """
 
 GC_BLOCKS = """
@@ -313,8 +336,14 @@ def cases(families):
                 for d in (8, 32, 128):
                     yield f"{op}/p{p}/deg{d}", ARITH, [op, p, d, REPEATS], False
     if "witness" in families:
-        for kind, size in (("FpT3", 8), ("FpT3", 16), ("FpT3", 32), ("FpT3", 64), ("EisenF2", 3)):
-            yield f"witness/{kind}/deg{size}", WITNESS, [kind, size, 5], False
+        rows = [("FpT3", "deg", 8), ("FpT3", "deg", 16), ("FpT3", "deg", 32), ("FpT3", "deg", 64),
+                ("EisenF2", "deg", 3), ("ZLoc2", "bits", 800), ("Unram", "size", 30)]
+        for kind, unit, size in rows:
+            yield f"witness/{kind}/{unit}{size}", WITNESS, [kind, size, 5], False
+    if "val" in families:
+        for p in (2, 3):
+            for k in (10**3, 10**4):
+                yield f"val/ZLoc{p}/k{k}", VAL, [p, k, REPEATS], False
     if "gc" in families:
         yield "gc_blocks/classify_witness/408ops", GC_BLOCKS, [], False
     if "search" in families:

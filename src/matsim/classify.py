@@ -40,7 +40,7 @@ from .rings import INF
 class Mat2:
     """Immutable 2x2 matrix with entries in the valuation ring R."""
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ("ring", "rows", "_char_poly")
 
     def __init__(self, ring, rows, check_integral=True):
         rows = tuple(tuple(ring.coerce(x) for x in row) for row in rows)
@@ -96,8 +96,13 @@ class Mat2:
         )
 
     def char_poly(self) -> MonicPoly:
-        """det(xI - A) = x^2 - trace*x + det, encoded as x^2 - a*x - b."""
-        return MonicPoly.quadratic(self.ring, self.trace(), -self.det())
+        """det(xI - A) = x^2 - trace*x + det, encoded as x^2 - a*x - b;
+        computed once, as a Mat2 does not change."""
+        try:
+            return self._char_poly
+        except AttributeError:
+            self._char_poly = MonicPoly.quadratic(self.ring, self.trace(), -self.det())
+            return self._char_poly
 
     def is_unit(self):
         return self.ring.val(self.det()) == 0
@@ -121,7 +126,26 @@ class GL2Witness:
     U: Mat2
 
     def check(self, A: Mat2, B: Mat2) -> bool:
-        return (self.U @ A) == (B @ self.U) and self.U.is_unit()
+        """U*A == B*U, with U invertible over R.
+
+        With U = U'/u, and A = A'/d and B = B'/d over one shared d, U*A =
+        B*U iff U'*A' = B'*U': the products run on the numerators the ring
+        splits off (``ring.numerators``), with no gcd after the two lcms.
+        """
+        U = self.U
+        ring = U.ring
+        if A.ring != ring or B.ring != ring:
+            return False
+        _, (u00, u01, u10, u11) = ring.numerators(U.rows[0] + U.rows[1])
+        _, (a00, a01, a10, a11, b00, b01, b10, b11) = ring.numerators(A.rows[0] + A.rows[1] + B.rows[0] + B.rows[1])
+        dot = ring.num_dot
+        return (
+            dot(u00, a00, u01, a10) == dot(b00, u00, b01, u10)
+            and dot(u00, a01, u01, a11) == dot(b00, u01, b01, u11)
+            and dot(u10, a00, u11, a10) == dot(b10, u00, b11, u10)
+            and dot(u10, a01, u11, a11) == dot(b10, u01, b11, u11)
+            and U.is_unit()
+        )
 
 
 # ---------------------------------------------------------------------------

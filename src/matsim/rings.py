@@ -9,7 +9,10 @@ Instances:
 
 All three derive integrality and v(2) from their valuation in ``DVR``;
 ZLoc and FpTLoc share identity, levels, residues and JSON, keyed on
-(kind, p), in ``LocalDVR``.
+(kind, p), in ``LocalDVR``.  Each instance also writes a list of elements
+over one denominator (``numerators``: ints, FpPolys, or pairs of them in an
+extension) and multiplies those numerators (``num_dot``), so that a matrix
+identity can be checked without a gcd.
 
 ``ExtElem`` is the one element type of every quadratic algebra base[w],
 w^2 = a*w + b, in the package: its parent (a ``QuadAlgebra``) is a
@@ -55,7 +58,9 @@ def _is_prime(n):
 
 
 def _int_val(n, p):
-    """The p-adic valuation of a nonzero int."""
+    """The p-adic valuation of a nonzero int: its lowest set bit for p = 2."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -139,6 +144,11 @@ class LocalDVR(DVR):
     def to_json(self):
         return {"kind": self.kind, "p": self.p}
 
+    @staticmethod
+    def num_dot(x0, y0, x1, y1):
+        """x0*y0 + x1*y1 on numerators from ``numerators``."""
+        return x0 * y0 + x1 * y1
+
 
 class ZLoc(LocalDVR, Rationals):
     """Z localized at the prime p.  K = Q, elements are Fractions."""
@@ -171,6 +181,11 @@ class ZLoc(LocalDVR, Rationals):
 
     def lift(self, rep):
         return Fraction(rep)
+
+    def numerators(self, xs):
+        """(d, [x*d for x in xs]): ints over the lcm d of the denominators."""
+        d = math.lcm(*(x.denominator for x in xs))
+        return d, [x.numerator * (d // x.denominator) for x in xs]
 
     # bound in the class body, where the benchmark's tracer looks them up
     residues = LocalDVR.residues
@@ -230,6 +245,13 @@ class FpTLoc(LocalDVR):
 
     def lift(self, rep):
         return FpRat(rep)
+
+    def numerators(self, xs):
+        """(d, [x*d for x in xs]): FpPolys over the lcm d of the denominators."""
+        d = self.one.num
+        for x in xs:
+            d = d * (x.den // d.gcd(x.den))
+        return d, [x.num * (d // x.den) for x in xs]
 
     residues = LocalDVR.residues
 
@@ -617,6 +639,9 @@ class QuadExt(QuadAlgebra, DVR):
         super().__init__(base, mp_a, mp_b)
         self.ramification = ramification
         self._validate()
+        # w^2 = a*w + b times L, the lcm of the denominators of a and b
+        L, (na, nb) = base.numerators([self.mp_a, self.mp_b])
+        self._num_mp = (L, na, nb)
 
     def _validate(self):
         a, b = self.mp_a, self.mp_b
@@ -681,6 +706,22 @@ class QuadExt(QuadAlgebra, DVR):
 
     def lift(self, rep):
         return _elem(self, *map(self.base.lift, rep))
+
+    def numerators(self, xs):
+        """(d, [(X, Y)]): each x + y*w as a pair of base numerators over the
+        one base denominator d of all the coordinates."""
+        d, nums = self.base.numerators([c for e in xs for c in (e.x, e.y)])
+        return d, list(zip(nums[::2], nums[1::2]))
+
+    def num_dot(self, x0, y0, x1, y1):
+        """L*(x0*y0 + x1*y1) on pairs from ``numerators``, with w^2 = a*w + b
+        as L*w^2 = na*w + nb: every product term carries the same factor L."""
+        L, na, nb = self._num_mp
+        (a0, b0), (c0, d0), (a1, b1), (c1, d1) = x0, y0, x1, y1
+        yy = b0 * d0 + b1 * d1
+        x = L * (a0 * c0 + a1 * c1) + nb * yy
+        y = L * (a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1) + na * yy
+        return x, y
 
     def residues(self, N):
         """Canonical lifts of R/pi^N: x outer, y inner, each in the base order."""

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsim.classify import (
     Char2Sep,
     Case22Extra,
     Case22Main,
+    GL2Witness,
     Insep,
     LowerBound,
     Mat2,
@@ -17,6 +21,7 @@ from matsim.classify import (
     classify,
     compute_m,
     ideal_reps,
+    identity,
     pi_pow,
     reducible_normalize,
     similar,
@@ -28,6 +33,7 @@ from matsim.oracle import conj_search_mod
 from matsim.polys import MonicPoly, parse_monic, quad_factor
 from matsim.rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
+import legacy_classify as old
 from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
 
 Z2 = ZLoc(2)
@@ -254,6 +260,49 @@ class TestWitness:
         assert witness(Z2, mat(Z2, [[0, 1], [5, 0]]), mat(Z2, [[-1, 2], [2, 1]])) is None
 
 
+# the rings of the witness check: every instance, the Eisenstein extension
+# w^2 = t of FpTLoc(2), and an unramified extension of ZLoc(2) whose
+# w^2 = w/3 + 5/7 has denominators, so that its pair products carry L = 21
+CHECK_RINGS = RINGS + [QuadExt(Z2, Fraction(1, 3), Fraction(5, 7), "unramified")]
+
+
+def _bump(M, entry, c):
+    rows = [list(r) for r in M.rows]
+    rows[entry // 2][entry % 2] += c
+    return Mat2(M.ring, rows, check_integral=False)
+
+
+@given(
+    ring=st.sampled_from(CHECK_RINGS),
+    mode=st.sampled_from(["conjugate", "bump U", "bump B", "I, bump A", "pi*I", "U/pi"]),
+    seed=st.integers(0, 2**32),
+    entry=st.integers(0, 3),
+    k=st.integers(0, 40),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_witness_check_matches_the_legacy_check(ring, mode, seed, entry, k):
+    rng = random.Random(seed)
+    U, A = rand_gl2(ring, rng), rand_mat(ring, rng)
+    B = (U @ A) @ U.inv()
+    if mode == "bump U":
+        U = _bump(U, entry, pi_pow(ring, k))
+    elif mode == "bump B":
+        B = _bump(B, entry, pi_pow(ring, k))
+    elif mode == "I, bump A":  # U*A - B*U is nonzero in one entry only
+        U, B = identity(ring), _bump(A, entry, pi_pow(ring, k))
+    elif mode == "pi*I":  # commutes with A, but is not a unit
+        U, B = Mat2(ring, [[pi_pow(ring, k + 1), 0], [0, pi_pow(ring, k + 1)]]), A
+    elif mode == "U/pi":  # U*A = B*U still holds, but U leaves R
+        pi = ring.uniformizer()
+        U = Mat2(ring, [[x / pi for x in row] for row in U.rows], check_integral=False)
+    verdict = GL2Witness(U).check(A, B)
+    assert verdict == old.witness_check(U, A, B)
+    if mode == "conjugate":
+        assert verdict
+    elif mode in ("I, bump A", "pi*I", "U/pi"):
+        assert not verdict
+
+
 class TestTriangularize:
     def test_already_triangular(self):
         A = mat(Z5, [[2, 7], [0, 1]])
@@ -471,6 +520,59 @@ def test_witness_is_checked_under_python_O():
         "    print('caught', __debug__)\n"
     )
     assert proc.stdout == "caught False\n", proc.stderr
+
+
+# per ring kind, an A whose entries have large denominators, and so a chain
+# product U with a large one: pi^k added to one entry of U (by wrapping the
+# ``reduce`` that multiplies the chain), for k = 0 and a deep k = 40, must
+# still fail the check on numerators with asserts compiled away
+BUMPED_CHAINS = {
+    "ZLoc": "R = ZLoc(3)\nA = C.Mat2(R, [[Fraction(1, 7**30), 1], [5, Fraction(2, 11**20)]])\n",
+    "FpTLoc": (
+        "R = FpTLoc(3)\n"
+        "d = FpPoly(3, [1] + [i % 3 for i in range(1, 31)])\n"
+        "A = C.Mat2(R, [[FpRat(FpPoly(3, [2, 1]), d), 1], [R.uniformizer(), FpRat(FpPoly(3, [1]), d * d)]])\n"
+    ),
+    "QuadExt": (
+        "R = QuadExt(ZLoc(2), Fraction(1, 3), Fraction(5, 7), 'unramified')\n"
+        "w = R.gen()\n"
+        "A = C.Mat2(R, [[w + Fraction(1, 3**40), 1], [2, Fraction(1, 5**30) * w]])\n"
+    ),
+    "QuadExt-FpTLoc": (
+        "F2 = FpTLoc(2)\n"
+        "R = QuadExt(F2, 0, F2.uniformizer(), 'eisenstein')\n"
+        "w = R.gen()\n"
+        "d = FpPoly(2, [1] + [i % 2 for i in range(1, 31)])\n"
+        "A = C.Mat2(R, [[w + FpRat(FpPoly(2, [1]), d), 1], [w, FpRat(FpPoly(2, [0, 1]), d)]])\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUMPED_CHAINS))
+def test_bumped_chain_product_is_caught_under_python_O(kind):
+    proc = run_optimized(
+        "import importlib\n"
+        "from fractions import Fraction\n"
+        "C = importlib.import_module('matsim.classify')\n"
+        "from matsim.errors import InvariantViolation\n"
+        "from matsim.fppoly import FpPoly, FpRat\n"
+        "from matsim.rings import FpTLoc, QuadExt, ZLoc\n"
+        + BUMPED_CHAINS[kind]
+        + "u = R.numerators(sum(C.to_canonical(R, A)[1].rows, ()))[0]\n"
+        "print('large', u.bit_length() > 25 if isinstance(u, int) else u.degree > 25)\n"
+        "real = C.reduce\n"
+        "for k in (0, 40):\n"
+        "    def bumped(f, chain, k=k):\n"
+        "        rows = [list(r) for r in real(f, chain).rows]\n"
+        "        rows[0][1] += C.pi_pow(R, k)\n"
+        "        return C.Mat2(R, rows, check_integral=False)\n"
+        "    C.reduce = bumped\n"
+        "    try:\n"
+        "        C.to_canonical(R, A)\n"
+        "    except InvariantViolation:\n"
+        "        print('caught', k, __debug__)\n"
+    )
+    assert proc.stdout == "large True\ncaught 0 False\ncaught 40 False\n", proc.stdout + proc.stderr
 
 
 # one corrupted step per branch of to_canonical, each a wrong answer that the

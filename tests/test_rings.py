@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from matsim.errors import NotIntegral
 from matsim.fppoly import FpPoly, FpRat
-from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc, ring_from_json
+from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc, _int_val, ring_from_json
 
+import legacy_classify
 import legacy_residues
 from legacy_oracle import quotient_size
 from conftest import arith
@@ -229,6 +230,14 @@ def test_fprat_canonical_equality(n1, d1, n2, d2):
     r1 = FpRat(x1, y1)
     r2 = FpRat(x2, y2)
     assert (r1 == r2) == (x1 * y2 == x2 * y1)
+
+
+@given(p=st.sampled_from([2, 3, 5, 7]), v=st.integers(0, 5000), u=st.integers(1, 10**40), sign=st.sampled_from([1, -1]))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_int_val_matches_the_division_loop(p, v, u, sign):
+    # u may itself hold powers of p: the answer is then above v
+    n = sign * p**v * u
+    assert _int_val(n, p) == legacy_classify.int_val(n, p) >= v
 
 
 def test_deterministic_residue_order():
