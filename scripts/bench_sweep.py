@@ -61,6 +61,13 @@ shared machine hits them alike.  Families (``--family``, default all):
   after the first the growth factor per factor of 10 in N(I).  Every J
   must come out free (its Steinitz class I^2 is principal, as the class
   group has order 2), or the sweep stops.
+* ``lm``: one Latimer-MacDuffee round trip over Z, ``ideal_to_matrix`` of
+  ``matrix_to_ideal``, for f = x^n - x - 1 at n = 4, 8, 12, 16, on the
+  companion matrix of f and on a conjugate of it by 3n seeded elementary
+  moves I + c*E_ij, c in {-2, -1, 1, 2}; seconds per round trip, as
+  ``arith`` times them, and each row after the first of its input kind the
+  growth factor per unit of degree.  The round trip must give the input
+  matrix back, or the sweep stops.
 * ``import``: the ``-X importtime`` cumulative microseconds of ``matsim``,
   ``matsim.rings``, ``matsim.polys`` and ``matsim.cli`` when a fresh
   interpreter runs ``import matsim.cli``, over IMPORT_RUNS interpreters per
@@ -99,7 +106,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 7
-FAMILIES = ("arith", "witness", "val", "gc", "search", "oracle", "principal", "lattice", "import")
+FAMILIES = ("arith", "witness", "val", "gc", "search", "oracle", "principal", "lattice", "lm", "import")
 SEARCH_REPEATS = 5
 BENCH_TIMEOUT_S = 900  # bench/run.py: its worker, five set-up runs, and tracing
 
@@ -300,6 +307,31 @@ print(json.dumps(times))
 LATTICE_CASES = [2, 4, 8, 16]
 LATTICE_COUNT = 20
 
+LM = """
+import json, random, sys, timeit
+from matsim.lm import ZZ, companion, ideal_to_matrix, matrix_to_ideal
+from matsim.polys import parse_monic
+n, how, repeats = int(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+f = parse_monic(f"x^{n} - x - 1", ZZ)
+A = [[int(x) for x in row] for row in companion(f)]
+if how == "conj":
+    rng = random.Random(n)
+    for _ in range(3 * n):
+        # A -> E*A*E^-1 for E = I + c*E_ij: add c * row j to row i, then
+        # subtract c * column i from column j
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        A[i] = [x + c * y for x, y in zip(A[i], A[j])]
+        for row in A:
+            row[j] -= c * row[i]
+if ideal_to_matrix(f, matrix_to_ideal(f, A)) != A:
+    raise SystemExit("the round trip changed the matrix")
+timer = timeit.Timer(lambda: ideal_to_matrix(f, matrix_to_ideal(f, A)))
+number = max(timer.autorange()[0], 1)
+print(json.dumps([timer.timeit(number) / number for _ in range(repeats)]))
+"""
+LM_DEGREES = [4, 8, 12, 16]
+
 IMPORT = """
 import json, subprocess, sys
 module, runs = sys.argv[1], int(sys.argv[2])
@@ -364,6 +396,10 @@ def cases(families):
     if "lattice" in families:
         for k in LATTICE_CASES:
             yield f"lattice/ideal/N1e{k}", LATTICE, [k, LATTICE_COUNT, SEARCH_REPEATS], False
+    if "lm" in families:
+        for how in ("companion", "conj"):
+            for n in LM_DEGREES:
+                yield f"lm/{how}/deg{n}", LM, [n, how, REPEATS], False
     if "import" in families:
         for module in IMPORT_MODULES:
             yield f"import/{module}", IMPORT, [module, IMPORT_RUNS], False
@@ -396,12 +432,12 @@ def sweep(trees, families):
 
 
 # family -> the separator before a row's level: N for oracle, log10 y for
-# principal, log10 N(I) for lattice
-LEVELS = {"oracle": "/N", "principal": "/y1e", "lattice": "/N1e"}
+# principal, log10 N(I) for lattice, deg f for lm
+LEVELS = {"oracle": "/N", "principal": "/y1e", "lattice": "/N1e", "lm": "/deg"}
 
 
 def add_growth(out, name):
-    """For an oracle, principal or lattice row at some level, each tree's factor per
+    """For an oracle, principal, lattice or lm row at some level, each tree's factor per
     level against the row of the same group at the highest lower level that
     ran on it."""
     mark = LEVELS.get(name.partition("/")[0])

@@ -1,7 +1,9 @@
-"""Small exact linear algebra: integer HNF and solving, Gauss-Jordan over a
-field, and the Howell echelon over Z/p^H or GF(p)[t]/(t^H).
+"""Small exact linear algebra: integer HNF and solving, fraction-free
+(Bareiss) elimination, Gauss-Jordan over a field, and the Howell echelon
+over Z/p^H or GF(p)[t]/(t^H).
 
-Everything here works on tiny matrices (at most 8x16), so the simple
+Everything here works on small matrices (at most about 31x31: the Sylvester
+matrix of a degree-16 polynomial and its derivative), so the simple
 textbook algorithms are used throughout.  The Hermite form convention is
 row-style upper echelon with positive pivots and entries above each pivot
 reduced into [0, pivot).
@@ -79,6 +81,38 @@ def solve_int(rows, target):
             t = [a - q * b for a, b in zip(t, H[r])]
             x = [a + q * b for a, b in zip(x, H[r][nc:])]
     return None if any(t) else x
+
+
+def bareiss(m):
+    """(det M, det M * M^-1 * B) for integer rows m = [M | B], M square.
+
+    Bareiss's fraction-free Gauss-Jordan elimination (Cohen, GTM 138, §2.2):
+    after step k every entry is a (k+1) x (k+1) minor, so each division by
+    the previous pivot is exact and all values stay integers.  With no B
+    only the rows below each pivot are eliminated.  A singular M gives
+    (0, None).
+    """
+    a = [list(r) for r in m]
+    n = len(a)
+    jordan = n and len(a[0]) > n
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, rk = a[k][k], a[k][k + 1:]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                # columns up to k are never read again: only those right of
+                # k are updated
+                ai = a[i]
+                c = ai[k]
+                ai[k + 1:] = [(p * x - c * y) // prev for x, y in zip(ai[k + 1:], rk)]
+        prev = p
+    return sign * prev, [[sign * x for x in r[n:]] for r in a]
 
 
 # ---------------------------------------------------------------------------

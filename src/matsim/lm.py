@@ -8,20 +8,24 @@ the returned basis u always satisfies the exact identity
     theta * (u_1, ..., u_n) = (u_1, ..., u_n) * A,
 
 multiplication by theta acting on row vectors of coordinates.  Both
-directions check det(xI - A) = f by Hessenberg reduction over K, O(n^3)
-(polys.char_poly_n).  Equivalence of ideals is decided where an exact
-procedure exists: imaginary quadratic orders over Z (binary-form
-reduction) and the DVR instances (delegation to the conjugacy classifier).
+directions check det(xI - A) = f by Berkowitz's division-free algorithm
+(polys.char_poly_n).  Over Z every value is an integer: A, f and the
+cyclic vector are, so the Krylov rows are too, and determinants and
+solutions come from Bareiss's fraction-free elimination (intlin.bareiss);
+the DVR instances keep the same steps over K.  Equivalence of ideals is
+decided where an exact procedure exists: imaginary quadratic orders over Z
+(binary-form reduction) and the DVR instances (delegation to the conjugacy
+classifier).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .classify import Mat2, pi_pow
+from .classify import Mat2
 from .classify import similar as dvr_similar
 from .errors import (
     CharPolyMismatch,
@@ -33,7 +37,7 @@ from .errors import (
     UnsupportedRing,
     invariant,
 )
-from .intlin import field_solve
+from .intlin import bareiss, field_solve
 from .polys import MonicPoly, char_poly_n, is_separable, mul_mod, poly_gcd
 from .rings import DVR, Rationals
 
@@ -41,7 +45,9 @@ _KRYLOV_SEED = 20240817
 
 
 class IntegerRing(Rationals):
-    """Z as the base ring of the correspondence; K = Q via Fraction."""
+    """Z as the base ring of the correspondence; K = Q via Fraction.  The
+    correspondence computes on ints, so coordinates and entries it returns
+    may be ints: they compare, hash and encode as the equal Fractions."""
 
     kind = "ZZ"
 
@@ -61,8 +67,11 @@ class IntegerRing(Rationals):
 ZZ = IntegerRing()
 
 
-def _theta_times(f: MonicPoly, u):
-    return mul_mod(f, u, (f.ring.zero, f.ring.one))
+def _theta_times(coeffs, u):
+    """theta*u for f with low-to-high coefficients coeffs (monic): a shift
+    up, with theta^n = -(coeffs[0] + coeffs[1]*theta + ...)."""
+    top = u[-1]
+    return (-top * coeffs[0],) + tuple(x - top * c for x, c in zip(u, coeffs[1:-1]))
 
 
 @dataclass(frozen=True)
@@ -96,19 +105,6 @@ def companion(f: MonicPoly):
     return rows
 
 
-def _row_times_mat(ring, row, A):
-    n = len(A)
-    return [sum((row[k] * A[k][j] for k in range(n)), ring.zero) for j in range(n)]
-
-
-def _clear_scalar(ring, vecs):
-    """Nonzero a in R making a*v integral for every coordinate."""
-    if isinstance(ring, DVR):
-        worst = max((-ring.val(c) for v in vecs for c in v), default=0)
-        return pi_pow(ring, int(max(worst, 0)))
-    return Fraction(lcm(*(c.denominator for v in vecs for c in v)))
-
-
 def matrix_to_ideal(f: MonicPoly, A, ring=None) -> IdealBasis:
     """Ideal basis u with theta*(u) = (u)*A, built from a Krylov conjugator.
 
@@ -124,42 +120,58 @@ def matrix_to_ideal(f: MonicPoly, A, ring=None) -> IdealBasis:
         raise ValueError("matrix shape must be deg f x deg f")
     if not all(ring.is_integral(x) for row in A for x in row):
         raise NotIntegral(f"matrix entries must lie in {ring!r}")
+    zz = isinstance(ring, IntegerRing)
+    if zz:
+        A = [[int(x) for x in row] for row in A]
     if char_poly_n(ring, A) != f:
         raise CharPolyMismatch("det(xI - A) differs from f")
-    if not is_separable(f, ring):
+    # f = det(xI - A) is integral
+    coeffs = [int(c) for c in f.coeffs] if zz else f.coeffs
+    if not (_separable_zz(coeffs) if zz else is_separable(f, ring)):
         raise NotSeparable("the correspondence needs gcd(f, f') = 1")
-    g = _krylov_conjugator(ring, f, A)
-    a = _clear_scalar(ring, g)
-    rows = [[a * g[i][j] for j in range(n)] for i in range(n)]
-    # u_j = sum_i theta^i * (a*g)[i][j]; the order is fixed by the identity
-    # theta*(u) = (u)*A, so no cosmetic reordering is applied
-    basis = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
-    J = IdealBasis(f, ring, tuple(basis))
-    _verify_star(J, A)
+    g = _krylov_conjugator(ring, coeffs, A)
+    # u_j = sum_i theta^i * g[i][j], integral as A, f and w are; the order is
+    # fixed by the identity theta*(u) = (u)*A, so no cosmetic reordering
+    J = IdealBasis(f, ring, tuple(zip(*g)))
+    _verify_star(J, coeffs, A)
     return J
 
 
-def _krylov_conjugator(ring, f, A):
+def _separable_zz(coeffs):
+    """gcd(f, f') = 1 over Q: the resultant of f and f', the determinant of
+    their Sylvester matrix, is nonzero (f' has degree n - 1 in characteristic 0)."""
+    n = len(coeffs) - 1
+    if n < 1:
+        return False
+    f, fp = coeffs[::-1], [i * c for i, c in enumerate(coeffs)][:0:-1]
+    rows = [[0] * i + f + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + fp + [0] * (n - 1 - i) for i in range(n)]
+    return bareiss(rows)[0] != 0
+
+
+def _krylov_conjugator(ring, coeffs, A):
     """g in GL_n(K) with g*A = A0*g: last row is a cyclic vector w and
 
         g[i-1] = g[i]*A + coeffs[i]*w
 
     (Horner with the coefficients of f); the top-row relation then holds by
     Cayley-Hamilton.  Standard basis vectors are tried first, then small
-    random vectors with a fixed seed.
+    random vectors with a fixed seed.  Over Z all of it is on ints.
     """
-    n = f.degree
+    n = len(A)
+    zz = isinstance(ring, IntegerRing)
+    zero, one, lift = (0, 1, int) if zz else (ring.zero, ring.one, ring.from_int)
+    cols = list(zip(*A))
     rng = random.Random(_KRYLOV_SEED)
-    candidates = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    candidates = [[one if i == j else zero for j in range(n)] for i in range(n)]
     best = None
     for _ in range(32):
         for w in candidates:
             g = [None] * n
             g[n - 1] = list(w)
             for i in range(n - 1, 0, -1):
-                nxt = _row_times_mat(ring, g[i], A)
-                g[i - 1] = [nxt[j] + f.coeffs[i] * w[j] for j in range(n)]
-            d, _ = field_solve(g)
+                g[i - 1] = [sum(map(mul, g[i], col), zero) + coeffs[i] * x for col, x in zip(cols, w)]
+            d = bareiss(g)[0] if zz else field_solve(g)[0]
             if not d:
                 continue
             score = _det_size(ring, d)
@@ -167,7 +179,7 @@ def _krylov_conjugator(ring, f, A):
                 best = (score, g)
         if best is not None:
             break
-        candidates = [[ring.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(4)]
+        candidates = [[lift(rng.randint(-3, 3)) for _ in range(n)] for _ in range(4)]
     invariant(best is not None, "no cyclic vector found (should be impossible)")
     return best[1]
 
@@ -180,35 +192,54 @@ def _det_size(ring, d):
     return (d.numerator * d.denominator, d.denominator)
 
 
-def _verify_star(J: IdealBasis, A):
-    ring = J.ring
-    f = J.f
-    n = f.degree
-    for j in range(n):
-        lhs = _theta_times(f, J.basis[j])
-        rhs = tuple(
-            sum((J.basis[k][i] * A[k][j] for k in range(n)), ring.zero) for i in range(n)
-        )
-        invariant(lhs == rhs, "identity theta*(u) = (u)*A failed")
+def _verify_star(J: IdealBasis, coeffs, A):
+    zero = 0 if isinstance(J.ring, IntegerRing) else J.ring.zero
+    coords = list(zip(*J.basis))
+    for u, col in zip(J.basis, zip(*A)):
+        rhs = tuple(sum(map(mul, c, col), zero) for c in coords)
+        invariant(_theta_times(coeffs, u) == rhs, "identity theta*(u) = (u)*A failed")
 
 
 def ideal_to_matrix(f: MonicPoly, J: IdealBasis):
     """The multiplication-by-theta matrix on the given basis (row convention)."""
+    return _theta_matrix(f, J)[0]
+
+
+def _theta_matrix(f: MonicPoly, J: IdealBasis):
+    """(A, rows, det): the matrix of theta on the basis, the basis
+    coordinates and their determinant; over Z the coordinates are scaled to
+    ints by the lcm of their denominators, and A and det come from one
+    Bareiss elimination."""
     ring = J.ring
     n = f.degree
-    # column j of A solves (basis coordinates)^T * A[.][j] = theta * u_j
-    Mt = [[u[i] for u in J.basis] for i in range(n)]
-    det, cols = field_solve(Mt, [_theta_times(f, u) for u in J.basis])
-    if not det:
+    if not n:  # R[x]/(1) = 0: the empty basis spans no lattice
         raise NotAnIdeal("basis is not K-linearly independent")
-    A = [[cols[j][k] for j in range(n)] for k in range(n)]
-    for row in A:
-        for x in row:
-            if not ring.is_integral(x):
-                raise NotAnIdeal("multiplication by theta leaves the R-span")
+    # column j of A solves (basis coordinates)^T * A[.][j] = theta * u_j
+    if isinstance(ring, IntegerRing):
+        D = lcm(*(c.denominator for u in J.basis for c in u))
+        rows = [[c.numerator * (D // c.denominator) for c in u] for u in J.basis]
+        # A has char poly f, so it is integral only if f is; a non-integral
+        # f fails below, and theta on its numerators is never read
+        integral = all(c.denominator == 1 for c in f.coeffs)
+        theta = [_theta_times([c.numerator for c in f.coeffs], u) for u in rows]
+        det, DA = bareiss([[u[i] for u in rows] + [t[i] for t in theta] for i in range(n)])
+        if not det:
+            raise NotAnIdeal("basis is not K-linearly independent")
+        if not integral or any(x % det for row in DA for x in row):
+            raise NotAnIdeal("multiplication by theta leaves the R-span")
+        A = [[x // det for x in row] for row in DA]
+    else:
+        rows = J.basis
+        Mt = [[u[i] for u in rows] for i in range(n)]
+        det, cols = field_solve(Mt, [_theta_times(f.coeffs, u) for u in rows])
+        if not det:
+            raise NotAnIdeal("basis is not K-linearly independent")
+        A = [[cols[j][k] for j in range(n)] for k in range(n)]
+        if not all(ring.is_integral(x) for row in A for x in row):
+            raise NotAnIdeal("multiplication by theta leaves the R-span")
     if char_poly_n(ring, A) != f:
         raise NotAnIdeal("char poly of the produced matrix differs from f")
-    return A
+    return A, rows, det
 
 
 def is_non_zero_divisor(f: MonicPoly, alpha, ring=None) -> bool:
@@ -300,8 +331,10 @@ def ideal_to_form(J: IdealBasis) -> BQForm:
     disc = f.a * f.a + 4 * f.b
     if disc >= 0:
         raise NotImaginaryQuadratic(f"disc {disc} is not negative")
-    ideal_to_matrix(f, J)  # validates rank and the ideal property
-    return norm_form(*J.basis, ideal_norm(J), f.a, f.b)
+    # validates rank and the ideal property; on the integer rows D*u the
+    # numerator of the form and the norm |det| both scale by D^2
+    _, rows, det = _theta_matrix(f, J)
+    return norm_form(*rows, abs(det), int(f.a), int(f.b))
 
 
 def scale_ideal(J: IdealBasis, alpha) -> IdealBasis:

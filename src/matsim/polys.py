@@ -18,6 +18,7 @@ which is checked on every reducible outcome.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -197,36 +198,35 @@ def is_separable(f: MonicPoly, ring) -> bool:
 
 
 def char_poly_n(ring, M):
-    """det(xI - M) as a MonicPoly, in O(n^3) operations over K.
+    """det(xI - M) as a MonicPoly, without division (Berkowitz's algorithm).
 
-    Hessenberg reduction by similarity, then the recurrence on the leading
-    principal minors of xI - H (Cohen, GTM 138, Algorithm 2.2.9).
+    With M_r the leading r x r block, M_(r+1) = [[M_r, c], [s, m]], the
+    coefficients below the leading 1 of det(xI - M_(r+1)) are those of
+    det(xI - M_r) plus their Toeplitz product with
+    t = (-m, -s*c, -s*M_r*c, -s*M_r^2*c, ...), O(n^4) products in all.
+    Only sums and products of the entries occur, so they keep their own
+    type: ints stay ints.
     """
-    n = len(M)
-    H = [[ring.coerce(x) for x in row] for row in M]
-    for m in range(1, n - 1):
-        k = next((k for k in range(m, n) if H[k][m - 1]), None)
-        if k is None:
-            continue
-        H[k], H[m] = H[m], H[k]
-        for row in H:
-            row[k], row[m] = row[m], row[k]
-        t = H[m][m - 1]
-        for i in range(m + 1, n):
-            u = H[i][m - 1] / t
-            H[i] = [x - u * y for x, y in zip(H[i], H[m])]
-            for row in H:
-                row[m] = row[m] + u * row[i]
-    p = [[ring.one]]
-    for m in range(n):
-        pm = poly_mul([-H[m][m], ring.one], p[m], ring)
-        t = ring.one
-        for i in range(m - 1, -1, -1):
-            t = t * H[i + 1][i]
-            c = t * H[i][m]
-            pm[: i + 1] = [x - c * y for x, y in zip(pm, p[i])]
-        p.append(pm)
-    return MonicPoly(ring, p[n])
+    q = []  # det(xI - M_r) = x^r + q[0]*x^(r-1) + ... + q[r-1]
+    for r, row in enumerate(M):
+        block = [b[:r] for b in M[:r]]
+        s, c = row[:r], [b[r] for b in M[:r]]
+        t = [-row[r]]
+        for _ in range(r):
+            t.append(-_dot(s, c))
+            c = [_dot(b, c) for b in block]
+        new = []
+        for i in range(r + 1):
+            x = t[i] + q[i] if i < r else t[i]
+            new.append(x + _dot(t[i - 1::-1], q) if i else x)
+        q = new
+    return MonicPoly(ring, q[::-1] + [ring.one])
+
+
+def _dot(xs, ys):
+    """sum x*y, xs non-empty, in the entries' own type: no zero needed."""
+    terms = map(operator.mul, xs, ys)
+    return sum(terms, next(terms))
 
 
 def disc_quad(f: MonicPoly, ring):

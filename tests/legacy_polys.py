@@ -1,5 +1,5 @@
 """Earlier bodies of ``polys`` routines, kept as test oracles for
-``test_polys.py``.
+``test_polys.py`` and ``test_lm.py``.
 
 * ``_as_solve_f2t`` before the degree sweep, with the GF(2) elimination it
   called: the equation U^2 + U*V = num(c) becomes an augmented GF(2)
@@ -7,10 +7,12 @@
   set to 0.
 * ``_ext_sqrt`` before the norm-trace identity: an elimination of x that
   leaves a quadratic in y^2 over the base.
+* ``char_poly_n`` before Berkowitz's division-free algorithm: Hessenberg
+  reduction by similarity over K, O(n^3) operations with divisions.
 """
 
 from matsim.fppoly import FpPoly, FpRat
-from matsim.polys import sqrt_in_field
+from matsim.polys import MonicPoly, poly_mul, sqrt_in_field
 from matsim.rings import ExtElem
 
 
@@ -114,3 +116,36 @@ def _ext_sqrt(ring, d: ExtElem):
         if cand * cand == d:
             return cand
     return None
+
+
+def char_poly_n(ring, M):
+    """det(xI - M) as a MonicPoly, in O(n^3) operations over K.
+
+    Hessenberg reduction by similarity, then the recurrence on the leading
+    principal minors of xI - H (Cohen, GTM 138, Algorithm 2.2.9).
+    """
+    n = len(M)
+    H = [[ring.coerce(x) for x in row] for row in M]
+    for m in range(1, n - 1):
+        k = next((k for k in range(m, n) if H[k][m - 1]), None)
+        if k is None:
+            continue
+        H[k], H[m] = H[m], H[k]
+        for row in H:
+            row[k], row[m] = row[m], row[k]
+        t = H[m][m - 1]
+        for i in range(m + 1, n):
+            u = H[i][m - 1] / t
+            H[i] = [x - u * y for x, y in zip(H[i], H[m])]
+            for row in H:
+                row[m] = row[m] + u * row[i]
+    p = [[ring.one]]
+    for m in range(n):
+        pm = poly_mul([-H[m][m], ring.one], p[m], ring)
+        t = ring.one
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i]
+            c = t * H[i][m]
+            pm[: i + 1] = [x - c * y for x, y in zip(pm, p[i])]
+        p.append(pm)
+    return MonicPoly(ring, p[n])

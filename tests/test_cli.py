@@ -380,6 +380,42 @@ def test_lm_to_matrix_degree_one(capsys):
     assert code == 0 and json.loads(out) == {"matrix": [["3"]]}
 
 
+def test_lm_round_trip_degree_one(capsys):
+    code, out, _ = run(capsys, "lm-to-ideal", "--ring", '{"kind":"ZZ"}', "--in",
+                       '{"f": "x + 5", "matrix": [["-5"]]}')
+    assert code == 0
+    payload = json.dumps({"f": "x + 5", "basis": json.loads(out)["basis"]})
+    code, out, _ = run(capsys, "lm-to-matrix", "--ring", '{"kind":"ZZ"}', "--in", payload)
+    assert code == 0 and json.loads(out) == {"matrix": [["-5"]]}
+
+
+@pytest.mark.parametrize(
+    "cmd, payload, code, err",
+    [
+        ("lm-to-matrix", {"f": "x^2+6", "basis": [[0, 0], [0, 1]]}, 3,
+         "NotAnIdeal: basis is not K-linearly independent"),
+        ("lm-to-matrix", {"f": "x^2+6", "basis": [["1/2", 0], [0, 1]]}, 3,
+         "NotAnIdeal: multiplication by theta leaves the R-span"),
+        ("lm-to-matrix", {"f": "x^2 + 1/2", "basis": [[1, 0], [0, 1]]}, 3,
+         "NotAnIdeal: multiplication by theta leaves the R-span"),
+        ("lm-to-matrix", {"f": "1", "basis": []}, 3, "NotAnIdeal: basis is not K-linearly independent"),
+        ("lm-to-ideal", {"f": "x^2+1", "matrix": [[0, 0], [0, 0]]}, 3,
+         "CharPolyMismatch: det(xI - A) differs from f"),
+        ("lm-to-ideal", {"f": "x^2", "matrix": [[0, 1], [0, 0]]}, 3,
+         "NotSeparable: the correspondence needs gcd(f, f') = 1"),
+        ("lm-to-ideal", {"f": "1", "matrix": []}, 3, "NotSeparable: the correspondence needs gcd(f, f') = 1"),
+        ("lm-to-matrix", {"f": "x^2+6", "basis": [[1, 0]]}, 2, "ValueError: basis arity must match deg f"),
+    ],
+    ids=["zero-row", "half-row", "fractional-f", "degree-0-basis", "wrong-f", "repeated-root",
+         "degree-0-matrix", "one-row"],
+)
+def test_lm_error_paths_over_zz(capsys, cmd, payload, code, err):
+    # the answers of the Fraction path, so the integer path keeps its checks
+    # and their order
+    argv = [cmd, "--ring", '{"kind":"ZZ"}', "--in", json.dumps(payload)]
+    assert run(capsys, *argv) == (code, "", f"error: {err}\n")
+
+
 def test_class_number_reducible_exits_3(capsys):
     code, _, err = run(capsys, "class-number", "--ring", Z2, "--in", '{"f": "x^2 - 1"}')
     assert code == 3 and "ReduciblePoly" in err

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from matsim import lm
 from matsim.errors import (
     CharPolyMismatch,
     IndefiniteForm,
+    MatsimError,
     NotAnIdeal,
     NotImaginaryQuadratic,
     NotIntegral,
@@ -31,10 +33,12 @@ from matsim.lm import (
     reduce_form,
     scale_ideal,
 )
-from matsim.polys import MonicPoly, parse_monic, poly_mul
+from matsim.polys import MonicPoly, is_separable, parse_monic, poly_mul
 from matsim.rings import FpTLoc, QuadExt, ZLoc
 
+import legacy_lm as old
 from conftest import SEED, all_instances, instance_ids, rand_integral, run_optimized
+from legacy_polys import char_poly_n as hessenberg_char_poly
 
 X2P6 = parse_monic("x^2 + 6", ZZ)
 EISEN_F2 = QuadExt(FpTLoc(2), 0, FpTLoc(2).uniformizer(), "eisenstein")
@@ -312,10 +316,44 @@ class TestCharPoly:
         assert char_poly_n(ring, B) == MonicPoly(ring, poly_mul(f2.coeffs, f3.coeffs, ring))
 
     def test_degree_12_round_trip(self):
-        rng = random.Random(SEED)
-        f = parse_monic("x^12 - x - 1", ZZ)
-        A = _conjugate(ZZ, companion(f), rng, lambda: ZZ.from_int(rng.choice((-2, -1, 1, 2))), 24)
-        assert ideal_to_matrix(f, matrix_to_ideal(f, A)) == A
+        # and degree 16, where the Sylvester matrix of f and f' is 31 x 31
+        for n in (12, 16):
+            rng = random.Random(SEED)
+            f = parse_monic(f"x^{n} - x - 1", ZZ)
+            A = _conjugate(ZZ, companion(f), rng, lambda: ZZ.from_int(rng.choice((-2, -1, 1, 2))), 2 * n)
+            assert ideal_to_matrix(f, matrix_to_ideal(f, A)) == A
+
+    @pytest.mark.parametrize(
+        "ring", all_instances() + [EISEN_F2], ids=instance_ids() + ["EisenF2"]
+    )
+    def test_berkowitz_matches_hessenberg(self, ring, rng):
+        for n in range(6):
+            for _ in range(3):
+                M = [[rand_integral(ring, rng, 3) if rng.random() < 0.6 else ring.zero for _ in range(n)]
+                     for _ in range(n)]
+                assert char_poly_n(ring, M) == hessenberg_char_poly(ring, M)
+
+    def test_berkowitz_matches_hessenberg_on_integers(self, rng):
+        for n in range(13):
+            for _ in range(3):
+                M = [[rng.choice((0, rng.randint(-9, 9), rng.randint(-10**6, 10**6))) for _ in range(n)]
+                     for _ in range(n)]
+                assert char_poly_n(ZZ, M) == hessenberg_char_poly(ZZ, M)
+
+
+def test_resultant_separability_matches_the_gcd(rng):
+    seen = set()
+    for n in range(10):
+        for _ in range(12):
+            # f = g^2 * h has a repeated root once deg g >= 1
+            k = rng.randint(0, n // 2)
+            g = [rng.randint(-3, 3) for _ in range(k)] + [1]
+            h = [rng.randint(-3, 3) for _ in range(n - 2 * k)] + [1]
+            f = MonicPoly(ZZ, poly_mul(poly_mul(g, g, ZZ), h, ZZ))
+            separable = lm._separable_zz([int(c) for c in f.coeffs])
+            assert separable == is_separable(f, ZZ)
+            seen.add(separable)
+    assert seen == {True, False}
 
 
 def test_star_identity_is_checked_under_python_O():
@@ -331,3 +369,78 @@ def test_star_identity_is_checked_under_python_O():
         "    print('caught', __debug__)\n"
     )
     assert proc.stdout == "caught False\n", proc.stderr
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the matsim error it raises."""
+    try:
+        return fn(*args)
+    except MatsimError as exc:
+        return type(exc)
+
+
+def _variants(rng, f, J):
+    """(f, basis, expected) to try on both paths: J itself, J/k (a fractional
+    ideal with the same matrix), a singular basis, J with one vector over k
+    (fractional, rarely an ideal), and J under a wrong integral f and a
+    non-integral f.  expected is NotAnIdeal where the outcome is known."""
+    k = rng.randint(2, 7)
+    c = list(f.coeffs)
+    wrong = MonicPoly(ZZ, [c[0] + rng.choice((-1, 1))] + c[1:])
+    half = MonicPoly(ZZ, [c[0] + Fraction(1, 2)] + c[1:])
+    basis = tuple(tuple(map(Fraction, u)) for u in J.basis)
+    scaled = tuple(tuple(x / k for x in u) for u in basis)
+    return [
+        (f, basis, None),
+        (f, scaled, None),
+        (f, basis[:1] + basis[:-1], NotAnIdeal),
+        (f, scaled[:1] + basis[1:], None),
+        (wrong, basis, None),
+        (half, basis, NotAnIdeal),
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_integer_path_matches_the_fraction_path(n, seed):
+    # random separable f of degree n and a unimodular conjugate of its companion
+    rng = random.Random(seed)
+    f = MonicPoly(ZZ, [rng.randint(-5, 5) for _ in range(n)] + [1])
+    assume(is_separable(f, ZZ))
+    steps = rng.randint(0, 3 * n)
+    A = _conjugate(ZZ, companion(f), rng, lambda: ZZ.from_int(rng.choice((-2, -1, 1, 2))), steps)
+    g = lm._krylov_conjugator(ZZ, [int(c) for c in f.coeffs], [[int(x) for x in row] for row in A])
+    assert g == old._krylov_conjugator(ZZ, f, A)
+    J, Jold = matrix_to_ideal(f, A), old.matrix_to_ideal(f, A)
+    assert J == Jold
+    assert ideal_to_matrix(f, J) == old.ideal_to_matrix(f, Jold) == A
+    for F, basis, expected in _variants(rng, f, J):
+        Jb = IdealBasis(F, ZZ, basis)
+        got = _outcome(ideal_to_matrix, F, Jb)
+        assert got == _outcome(old.ideal_to_matrix, F, Jb)
+        assert expected is None or got is expected
+        if F != f:
+            assert _outcome(matrix_to_ideal, F, A) is CharPolyMismatch is _outcome(old.matrix_to_ideal, F, A)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(b=st.integers(-60, 60), c=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_integer_forms_match_the_fraction_path(b, c, seed):
+    # A = [[x, y], [-f(x)/y, -b - x]] has char poly f = x^2 + b*x + c
+    assume(b * b < 4 * c)
+    rng = random.Random(seed)
+    f = MonicPoly(ZZ, [c, b, 1])
+    x = rng.randint(-40, 40)
+    fx = x * x + b * x + c
+    y = rng.choice([d for d in range(1, 60) if fx % d == 0]) * rng.choice((1, -1))
+    A = [[x, y], [-fx // y, -b - x]]
+    J, Jold = matrix_to_ideal(f, A), old.matrix_to_ideal(f, A)
+    assert J == Jold
+    assert ideal_to_form(J) == old.ideal_to_form(Jold)
+    for F, basis, expected in _variants(rng, f, J):
+        Jb = IdealBasis(F, ZZ, basis)
+        got = _outcome(ideal_to_form, Jb)
+        assert got == _outcome(old.ideal_to_form, Jb)
+        assert expected is None or got is expected
+        if not isinstance(got, type):
+            assert reduce_form(got) == reduce_form(old.ideal_to_form(Jb))
