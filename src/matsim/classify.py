@@ -21,12 +21,14 @@ an explicit GL2(R) basis change, onto one chain; ``to_canonical`` multiplies
 the chain into the witness U and checks it once, with
 ``GL2Witness(U).check(A, canonical_matrix(form))``, before returning
 anything.  A failure raises InvariantViolation, also under ``python -O``.
+What depends on the characteristic polynomial f alone is a ``PolyFacts``,
+which ``witness`` and ``similar`` work out once for both matrices of a pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import InsepBoundRequired, InvalidParams, InvariantViolation, NotIntegral, ReduciblePoly, invariant
 from .polys import MonicPoly, disc_quad, quad_factor
@@ -126,7 +128,7 @@ class GL2Witness:
     U: Mat2
 
     def check(self, A: Mat2, B: Mat2) -> bool:
-        """U*A == B*U, with U invertible over R.
+        """U*A == B*U, with U in GL2(R): entries in R and a unit determinant.
 
         With U = U'/u, and A = A'/d and B = B'/d over one shared d, U*A =
         B*U iff U'*A' = B'*U': the products run on the numerators the ring
@@ -145,6 +147,7 @@ class GL2Witness:
             and dot(u10, a00, u11, a10) == dot(b10, u00, b11, u10)
             and dot(u10, a01, u11, a11) == dot(b10, u01, b11, u11)
             and U.is_unit()
+            and min(map(ring.val, U.rows[0] + U.rows[1])) >= 0
         )
 
 
@@ -465,7 +468,8 @@ _MAIN_FORMS = {"unit2": Unit2, "case21": Case21, "case22": Case22Main}
 _BRANCH_FORMS = {**_SEP_FORMS, **_MAIN_FORMS, "case22": (Case22Main, Case22Extra), "insep": Insep}
 
 
-def _classify_irreducible(ring, A, f, branch, chain):
+def _classify_irreducible(ring, A, facts, chain):
+    f = facts.f
     a, b = f.a, f.b
     alpha, beta = A[0][0], A[0][1]
     invariant(beta, "an irreducible characteristic polynomial forces a nonzero corner")
@@ -506,9 +510,9 @@ def _classify_irreducible(ring, A, f, branch, chain):
             rho = rho_new
 
     # dispatch on the classification branch and move rho to its canonical value
-    name, _, vd = branch
+    name, _, vd = facts.branch
     if name in _SEP_FORMS:
-        m, rstar = compute_m(ring, f, name)
+        m, rstar = facts.m
         invariant(n <= m, "the reduced level exceeds the maximal collapse level m")
         form = _SEP_FORMS[name](f, rstar, n)
         target = rstar
@@ -521,7 +525,7 @@ def _classify_irreducible(ring, A, f, branch, chain):
             target = -half_a
         else:
             invariant(name == "case22" and 2 * v_shift == vd, "only case22 has the extra family")
-            m, rstar = compute_m(ring, f, name)
+            m, rstar = facts.m
             invariant(1 <= n - vd // 2 <= m, "the extra-family index lies outside 1..m")
             form = Case22Extra(f, rstar, n - vd // 2)
             target = rstar - half_a
@@ -538,30 +542,48 @@ def _classify_irreducible(ring, A, f, branch, chain):
 # public interface
 
 
-def to_canonical(ring, A: Mat2):
+class PolyFacts:
+    """What classifying a matrix takes from its characteristic polynomial f
+    alone, for one call (shared by a pair): the factorization, the branch,
+    ``compute_m`` on first use, and the canonical matrix of the last form."""
+
+    def __init__(self, ring, f: MonicPoly):
+        self.ring, self.f, self.fact = ring, f, quad_factor(f, ring)
+        self.branch = None if self.fact.reducible else _branch(ring, f)
+        self._form = self._C = None
+
+    @cached_property
+    def m(self):
+        return compute_m(self.ring, self.f, self.branch[0])
+
+    def matrix(self, form):
+        if form != self._form:
+            self._C, self._form = canonical_matrix(form, self.branch), form
+        return self._C
+
+
+def to_canonical(ring, A: Mat2, _facts=None):
     """(canonical form, witness U with U*A = canonical_matrix*U).
 
     The branch pushes its moves onto ``chain`` (each a left basis change)
     and returns the form; U is their product, checked here before return.
+    ``_facts``: the PolyFacts of A's characteristic polynomial, if at hand.
     """
-    f = A.char_poly()
-    fact = quad_factor(f, ring)
+    facts = PolyFacts(ring, A.char_poly()) if _facts is None else _facts
     chain = []
     try:
-        if fact.reducible:
-            form = _classify_reducible(ring, A, f, fact, chain)
+        if facts.fact.reducible:
+            form = _classify_reducible(ring, A, facts.f, facts.fact, chain)
+        elif facts.branch[0] == "insep":
+            form = _classify_insep(ring, A, facts.f, chain)
         else:
-            branch = _branch(ring, f)
-            if branch[0] == "insep":
-                form = _classify_insep(ring, A, f, chain)
-            else:
-                form = _classify_irreducible(ring, A, f, branch, chain)
+            form = _classify_irreducible(ring, A, facts, chain)
     except NotIntegral as exc:
         # A is integral, so a move that leaves R is a defect of the library
         raise InvariantViolation(f"a classification move left R: {exc}") from exc
     U = reduce(lambda U, sigma: sigma @ U, chain)
     try:
-        C = canonical_matrix(form)
+        C = facts.matrix(form)
     except InvalidParams as exc:
         raise InvariantViolation(f"the classification produced an invalid form: {exc}") from exc
     invariant(GL2Witness(U).check(A, C), "the witness fails U*A = C*U")
@@ -577,15 +599,17 @@ def similar(ring, A: Mat2, B: Mat2) -> bool:
     """True iff A and B share a characteristic polynomial and a class."""
     if A.char_poly() != B.char_poly():
         return False
-    return classify(ring, A) == classify(ring, B)
+    facts = PolyFacts(ring, A.char_poly())
+    return to_canonical(ring, A, facts)[0] == to_canonical(ring, B, facts)[0]
 
 
 def witness(ring, A: Mat2, B: Mat2):
     """A verified GL2Witness with U*A = B*U, or None when not similar."""
     if A.char_poly() != B.char_poly():
         return None
-    form_a, ua = to_canonical(ring, A)
-    form_b, ub = to_canonical(ring, B)
+    facts = PolyFacts(ring, A.char_poly())
+    form_a, ua = to_canonical(ring, A, facts)
+    form_b, ub = to_canonical(ring, B, facts)
     if form_a != form_b:
         return None
     w = GL2Witness(ub.inv() @ ua)
@@ -593,7 +617,7 @@ def witness(ring, A: Mat2, B: Mat2):
     return w
 
 
-def canonical_matrix(form) -> Mat2:
+def canonical_matrix(form, _branch_of_f=None) -> Mat2:
     """The representative matrix of a canonical form (validated)."""
     f = form.f
     ring = f.ring
@@ -612,7 +636,7 @@ def canonical_matrix(form) -> Mat2:
         return out
     if not isinstance(form, CanonForm):
         raise TypeError(f"not a canonical form: {form!r}")
-    name, delta, vd = _branch(ring, f)
+    name, delta, vd = _branch_of_f or _branch(ring, f)
     if not isinstance(form, _BRANCH_FORMS[name]):
         raise InvalidParams(f"{type(form).__name__} is not a form of the {name} branch of f")
     # every irreducible class is theta on a basis (g1, c + theta)

@@ -14,6 +14,7 @@ codes; only operational failures do:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,11 +25,11 @@ from .classify import (
     GL2Witness,
     LowerBound,
     Mat2,
+    PolyFacts,
     Reducible,
     canonical_matrix,
     class_list,
     class_number,
-    classify,
     to_canonical,
     witness,
 )
@@ -129,8 +130,9 @@ def cmd_classify(args):
     ring = _ring(args)
     doc = _load_json(args.payload, "--in")
     A = _parse_matrix(ring, doc, "matrix")
-    form, U = to_canonical(ring, A)
-    C = canonical_matrix(form)
+    facts = PolyFacts(ring, A.char_poly())
+    form, U = to_canonical(ring, A, facts)
+    C = facts.matrix(form)  # built and checked against U by to_canonical
     verified = GL2Witness(U).check(A, C)
     return {
         "form": form.label(),
@@ -145,9 +147,10 @@ def cmd_similar(args):
     doc = _load_json(args.payload, "--in")
     A = _parse_matrix(ring, doc, "A")
     B = _parse_matrix(ring, doc, "B")
-    forms = [classify(ring, A).label(), classify(ring, B).label()]
+    facts = PolyFacts(ring, A.char_poly()) if A.char_poly() == B.char_poly() else None
+    forms = [to_canonical(ring, X, facts)[0].label() for X in (A, B)]
     result = {
-        "similar": A.char_poly() == B.char_poly() and forms[0] == forms[1],
+        "similar": facts is not None and forms[0] == forms[1],
         "forms": forms,
     }
     if args.cross_check:
@@ -284,6 +287,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="matsim",

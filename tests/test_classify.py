@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from matsim.classify import (
     Insep,
     LowerBound,
     Mat2,
+    PolyFacts,
     Reducible,
     Unit2,
     canonical_matrix,
@@ -25,6 +27,7 @@ from matsim.classify import (
     pi_pow,
     reducible_normalize,
     similar,
+    to_canonical,
     triangularize,
     witness,
 )
@@ -34,7 +37,7 @@ from matsim.polys import MonicPoly, parse_monic, quad_factor
 from matsim.rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
 import legacy_classify as old
-from conftest import all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
+from conftest import SEED, all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
@@ -303,6 +306,99 @@ def test_witness_check_matches_the_legacy_check(ring, mode, seed, entry, k):
         assert not verdict
 
 
+# per ring kind, U = diag(pi, 1/pi) has determinant 1 and U*A = B*U for
+# A = [[1, 1], [0, 1]] and B = [[1, pi^2], [0, 1]], yet A and B are not
+# similar (tau = 1 against tau = pi^2): the check must see that U leaves R,
+# with asserts compiled away
+OFF_R_RINGS = {
+    "ZLoc": "R = ZLoc(3)\n",
+    "FpTLoc": "R = FpTLoc(3)\n",
+    "QuadExt": "R = QuadExt(ZLoc(2), 1, 1, 'unramified')\n",
+    "QuadExt-FpTLoc": "F2 = FpTLoc(2)\nR = QuadExt(F2, 0, F2.uniformizer(), 'eisenstein')\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFF_R_RINGS))
+def test_check_rejects_a_unit_determinant_outside_R_under_python_O(kind):
+    proc = run_optimized(
+        "import importlib\n"
+        "C = importlib.import_module('matsim.classify')\n"
+        "from matsim.rings import FpTLoc, QuadExt, ZLoc\n"
+        + OFF_R_RINGS[kind]
+        + "pi = R.uniformizer()\n"
+        "A = C.Mat2(R, [[1, 1], [0, 1]])\n"
+        "B = C.Mat2(R, [[1, pi * pi], [0, 1]])\n"
+        "U = C.Mat2(R, [[pi, 0], [0, R.one / pi]], check_integral=False)\n"
+        "print(U @ A == B @ U, U.is_unit(), C.GL2Witness(U).check(A, B), C.similar(R, A, B), __debug__)\n"
+    )
+    assert proc.stdout == "True True False False False\n", proc.stdout + proc.stderr
+
+
+def _same_f_pairs(ring, rng):
+    """Pairs (A, B) with one characteristic polynomial: B a conjugate of A,
+    or of the canonical matrix of another class in A's list.  Half the A are
+    lam*I + pi^2*M, whose f has a deeper discriminant and so more classes."""
+    pi2 = pi_pow(ring, 2)
+    for k in range(8):
+        A = rand_mat(ring, rng)
+        if k % 2:
+            A = Mat2(ring, [[A[0][0] + pi2 * A[0][1], pi2 * A[1][0]], [pi2 * A[1][1], A[0][0]]])
+        V = rand_gl2(ring, rng)
+        yield A, (V @ A) @ V.inv()
+        form = classify(ring, A)
+        for other in class_list(ring, A.char_poly(), insep_bound=3)[:4]:
+            if other != form:
+                yield A, (V @ canonical_matrix(other)) @ V.inv()
+
+
+@pytest.mark.parametrize("ring", CHECK_RINGS, ids=RING_IDS + ["UnramDen"])
+def test_pair_classification_matches_two_independent_ones(ring):
+    # witness and similar share one PolyFacts between A and B; the legacy
+    # versions classify each matrix on its own
+    kinds = set()
+    for A, B in _same_f_pairs(ring, random.Random(SEED)):
+        w, w_old = witness(ring, A, B), old.witness(ring, A, B)
+        assert (w is None) == (w_old is None)
+        assert w is None or w.U.encode() == w_old.U.encode()
+        assert similar(ring, A, B) == old.similar(ring, A, B) == (w is not None)
+        facts = PolyFacts(ring, A.char_poly())
+        for X in (A, B):
+            form, U = to_canonical(ring, X, facts)
+            form_old, U_old = to_canonical(ring, X)
+            assert form == form_old and U.encode() == U_old.encode()
+        kinds.add(w is not None)
+    assert kinds == {True, False}
+
+
+def _count_calls(monkeypatch, names):
+    C = importlib.import_module("matsim.classify")  # matsim.classify is the function
+    calls = {}
+    for name in names:
+        def counted(*args, _real=getattr(C, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(C, name, counted)
+    return C, calls
+
+
+@pytest.mark.parametrize(
+    "rows, branches",
+    [([[0, 1], [5, 0]], 1), ([[1, 1], [0, 4]], 0)],
+    ids=["irreducible", "reducible"],
+)
+def test_a_pair_works_out_its_polynomial_once(monkeypatch, rows, branches):
+    A = mat(Z3, rows)
+    V = mat(Z3, [[1, 2], [1, 3]])
+    B = (V @ A) @ V.inv()
+    C, calls = _count_calls(monkeypatch, ("quad_factor", "_branch", "canonical_matrix", "to_canonical"))
+    for run, matrices in ((lambda: C.witness(Z3, A, B), 2), (lambda: C.similar(Z3, A, B), 2), (lambda: C.to_canonical(Z3, A), 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run()
+        assert calls == {"quad_factor": 1, "_branch": branches, "canonical_matrix": 1, "to_canonical": matrices}
+
+
 class TestTriangularize:
     def test_already_triangular(self):
         A = mat(Z5, [[2, 7], [0, 1]])
@@ -500,7 +596,9 @@ class TestDeepBranches:
 
 def test_witness_is_checked_under_python_O():
     # a wrong transform for A alone makes U = ub^-1 * ua fail U*A = B*U; the
-    # check must raise even when asserts are compiled away
+    # check must raise even when asserts are compiled away.  witness passes
+    # the pair's shared PolyFacts to both classifications, so the patch
+    # forwards it.
     proc = run_optimized(
         "import importlib\n"
         "C = importlib.import_module('matsim.classify')\n"
@@ -508,8 +606,8 @@ def test_witness_is_checked_under_python_O():
         "from matsim.rings import ZLoc\n"
         "R = ZLoc(3)\n"
         "real, calls = C.to_canonical, []\n"
-        "def wrong(ring, A):\n"
-        "    form, U = real(ring, A)\n"
+        "def wrong(ring, A, _facts=None):\n"
+        "    form, U = real(ring, A, _facts)\n"
         "    calls.append(A)\n"
         "    return form, (C.Mat2(ring, [[1, 1], [0, 1]]) @ U if len(calls) == 1 else U)\n"
         "C.to_canonical = wrong\n"

@@ -341,6 +341,22 @@ def test_insep_bound_zero_is_used(capsys):
         assert code == 0 and json.loads(out) == {"class_number_lower_bound": expected}
 
 
+def test_successive_calls_do_not_share_flags(capsys):
+    # one parser serves every main call of a process; a flag given to one
+    # call must not carry into the next
+    from matsim.cli import build_parser
+
+    assert build_parser() is build_parser()
+    insep = ("class-number", "--ring", '{"kind":"FpTLoc","p":2}', "--in", '{"f": "x^2 - t^5"}')
+    for flags, expected in (([], 3), (["--insep-bound", "0"], 1), ([], 3), (["--insep-bound", "1"], 2), ([], 3)):
+        code, out, _ = run(capsys, *insep, *flags)
+        assert code == 0 and json.loads(out) == {"class_number_lower_bound": expected}
+    pair = ("similar", "--ring", Z2, "--in", json.dumps({**SIMILAR_PAIR, "N": 2}))
+    for flags in ([], ["--cross-check"], [], ["--cross-check"], []):
+        code, out, _ = run(capsys, *pair, *flags)
+        assert code == 0 and ("oracle" in json.loads(out)) == bool(flags)
+
+
 @pytest.mark.parametrize(
     "command, ring, f",
     [
