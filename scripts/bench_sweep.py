@@ -20,7 +20,9 @@ shared machine hits them alike.  Families (``--family``, default all):
   FpTLoc(2) with entries of degree 3, over ZLoc(2) with 800-bit entries and
   over the unramified extension w^2 = w + 1 of ZLoc(2) with entries of size
   30, built by ``bench/workloads.py``, so each ring kind of the witness
-  check has a row; seconds per call over five seeded pairs.
+  check has a row.  Each of five seeded pairs is timed WITNESS_CALLS times
+  in a row and gives the median of its calls; the row's median and
+  quartiles are over those five per-pair medians, in seconds per call.
 * ``val``: ``ZLoc(p).val`` of p^k*u (u a 64-bit unit) at k = 10^3 and 10^4,
   p in {2, 3}; seconds per call, as ``arith`` times them.
 * ``gc``: the memory blocks (``sys.getallocatedblocks``) that one full
@@ -134,11 +136,11 @@ print(json.dumps([timer.timeit(number) / number for _ in range(repeats)]))
 """
 
 WITNESS = """
-import json, random, sys, time
+import json, random, statistics, sys, time
 import workloads
 from matsim import witness
 from matsim.rings import QuadExt
-kind, size, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+kind, size, repeats, calls = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 rings = workloads.dvr_rings()
 f2 = rings["FpT2"]
 rings["EisenF2"] = QuadExt(f2, 0, f2.uniformizer(), "eisenstein")
@@ -152,13 +154,17 @@ for _ in range(repeats):
     pairs.append((A, workloads.conjugate(ring, rng, A, 0)))
 times = []
 for A, B in pairs:
-    t0 = time.perf_counter()
-    w = witness(ring, A, B)
-    times.append(time.perf_counter() - t0)
-    if not w.check(A, B):
-        raise SystemExit("witness failed its check")
+    per_call = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        w = witness(ring, A, B)
+        per_call.append(time.perf_counter() - t0)
+        if not w.check(A, B):
+            raise SystemExit("witness failed its check")
+    times.append(statistics.median(per_call))
 print(json.dumps(times))
 """
+WITNESS_CALLS = 7
 
 VAL = """
 import random, timeit, json, sys
@@ -371,7 +377,7 @@ def cases(families):
         rows = [("FpT3", "deg", 8), ("FpT3", "deg", 16), ("FpT3", "deg", 32), ("FpT3", "deg", 64),
                 ("EisenF2", "deg", 3), ("ZLoc2", "bits", 800), ("Unram", "size", 30)]
         for kind, unit, size in rows:
-            yield f"witness/{kind}/{unit}{size}", WITNESS, [kind, size, 5], False
+            yield f"witness/{kind}/{unit}{size}", WITNESS, [kind, size, 5, WITNESS_CALLS], False
     if "val" in families:
         for p in (2, 3):
             for k in (10**3, 10**4):

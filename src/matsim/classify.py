@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .errors import InsepBoundRequired, InvalidParams, InvariantViolation, NotIntegral, ReduciblePoly, invariant
+from .fppoly import FpRat
 from .polys import MonicPoly, disc_quad, quad_factor
-from .rings import INF
+from .rings import INF, LocalDVR
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +272,50 @@ def reduce_mod(ring, x, k: int):
     return ring.lift(ring.residue(x, k))
 
 
-def _lift_chain(ring, ok, top):
-    """[r_0, ..., r_m]: r_0 = 0 and r_k the canonical r mod pi^k with ok(r, k),
-    tried as r_(k-1) + pi^(k-1)*d over the digits d of R/pi; m is top or the
-    last level some digit passes.  Exact when the solutions of ok(., k) form
-    one class mod pi^k for every k <= top (see compute_m and _insep_chain).
-    """
+def _lift_chain(ring, a, b, top):
+    """[r_0, ..., r_m]: r_0 = 0 and r_k the least r mod pi^k with
+    v(b - r(r + a)) >= 2k, tried as r_(k-1) + pi^(k-1)*d over the digits d of
+    R/pi; m is top or the last level some digit passes.  Exact when the
+    solutions at level k form one class mod pi^k for every k <= top (see
+    compute_m and _insep_params, where a = 0).  The test reads a and b only
+    mod pi^(2*top): over a base ring the trials run on their codes, where
+    each trial is already a canonical code, and the chain is lifted to R at
+    the end.  An extension's codes are pairs with no product: it takes
+    ``_exact_lift``."""
     if top < 1:
         return [ring.zero]
+    if not isinstance(ring, LocalDVR):
+        return _exact_lift(ring, a, b, top)
+    A, B = ring.residue(a, 2 * top), ring.residue(b, 2 * top)
+    pi, digits = ring.residue(ring.uniformizer(), 2), list(ring.codes(1))
+    chain, step = [ring.residue(ring.zero, 0)], 1  # step = pi^(k-1)
+    for k in range(1, top + 1):
+        prev = chain[-1]
+        for d in digits:
+            r = prev + step * d
+            if ring.val(ring.lift(B - r * (r + A))) >= 2 * k:
+                chain.append(r)
+                break
+        else:
+            break
+        step = step * pi
+    return [ring.lift(r) for r in chain]
+
+
+def _exact_lift(ring, a, b, top):
+    """``_lift_chain`` on elements of R.  Below the bounds of
+    compute_m and the inseparable chain, adding pi^k*h changes
+    v(b - r(r + a)) >= 2k by a term of valuation >= 2k, so a trial is tested
+    as it stands and only the r that passes is reduced mod pi^k."""
     digits = list(ring.residues(1))
     pi = ring.uniformizer()
     chain, step = [ring.zero], ring.one  # step = pi^(k-1)
     for k in range(1, top + 1):
         prev = chain[-1]
         for d in digits:
-            r = reduce_mod(ring, prev + step * d, k)
-            if ok(r, k):
-                chain.append(r)
+            r = prev + step * d
+            if ring.val(b - r * (r + a)) >= 2 * k:
+                chain.append(reduce_mod(ring, r, k))
                 break
         else:
             break
@@ -374,21 +402,23 @@ def _classify_reducible(ring, A, f, fact, chain):
 # inseparable case (char K = 2, f = x^2 - b)
 
 
-def _insep_chain(ring, b, top):
-    """The least u mod pi^i with v(b - u^2) >= 2i, for i = 0, 1, ... while
-    one exists (up to top).  In characteristic 2, (u+h)^2 = u^2 + h^2, so
-    the solutions at level i are one class u + pi^i R and lifting finds it.
-    """
-    return _lift_chain(ring, lambda u, k: ring.val(b - u * u) >= 2 * k, top)
+def _insep_s(ring, b, u, i):
+    """s = (b - u^2)/pi^i.  Over GF(p)(t), where the lift gives a polynomial
+    u, s is b's numerator minus u^2 times its denominator, shifted down by i."""
+    if isinstance(b, FpRat):
+        return b.sub_square_shifted(u, i)
+    return (b - u * u) / pi_pow(ring, i)
 
 
 def _insep_params(ring, b, i):
-    """Least u mod pi^i with v(b - u^2) >= 2i, and s = (b - u^2)/pi^i."""
-    chain = _insep_chain(ring, b, i)
+    """Least u mod pi^i with v(b - u^2) >= 2i, and s = (b - u^2)/pi^i.  In
+    characteristic 2, (u+h)^2 = u^2 + h^2, so the solutions at level i are
+    one class u + pi^i R and lifting finds it."""
+    chain = _lift_chain(ring, ring.zero, b, i)
     if len(chain) <= i:
         return None
     u = chain[i]
-    return u, (b - u * u) / pi_pow(ring, i)
+    return u, _insep_s(ring, b, u, i)
 
 
 def _classify_insep(ring, A, f, chain):
@@ -440,7 +470,9 @@ def compute_m(ring, f: MonicPoly, case: str):
     v(h) < bound (v(a), or v(2) in case22) the difference has valuation
     exactly 2v(h).  So up to the bound the solutions at level k are one class
     r + pi^k R, whose least member is its canonical representative, and one
-    digit-by-digit lift finds m and r.  Case22 is the same search for
+    digit-by-digit lift (``_lift_chain``) finds m and r.  The lift reads a
+    and b mod pi^(2*bound) only: over a base ring it runs on their residue
+    codes and lifts the chain to R once.  Case22 is the same search for
     x^2 - u, u = Delta/pi^v(Delta), scaled by pi^(v(Delta)/2); for m >= 1
     every root of x^2 - u is a unit.
     """
@@ -454,7 +486,7 @@ def compute_m(ring, f: MonicPoly, case: str):
         a, b, bound = ring.zero, delta / (scale * scale), ring.val_of_two()
     else:
         raise ValueError(f"unknown case {case!r}")
-    chain = _lift_chain(ring, lambda r, k: ring.val(b - r * (r + a)) >= 2 * k, bound)
+    chain = _lift_chain(ring, a, b, bound)
     m = len(chain) - 1
     return m, (None if m == 0 and case == "case22" else scale * chain[m])
 
@@ -544,8 +576,9 @@ def _classify_irreducible(ring, A, facts, chain):
 
 class PolyFacts:
     """What classifying a matrix takes from its characteristic polynomial f
-    alone, for one call (shared by a pair): the factorization, the branch,
-    ``compute_m`` on first use, and the canonical matrix of the last form."""
+    alone, for one call (shared by a pair, or by a class list and its
+    matrices): the factorization, the branch, ``compute_m`` on first use,
+    and the canonical matrix of the last form."""
 
     def __init__(self, ring, f: MonicPoly):
         self.ring, self.f, self.fact = ring, f, quad_factor(f, ring)
@@ -670,13 +703,16 @@ def _need_bound(insep_bound, missing):
         raise ValueError(f"the index bound must be >= 0, got {insep_bound}")
 
 
-def class_list(ring, f: MonicPoly, insep_bound: int | None = None):
+def class_list(ring, f: MonicPoly, insep_bound: int | None = None, _facts=None):
     """All conjugacy classes with characteristic polynomial f, in index order.
 
     Families that are genuinely infinite (inseparable irreducible f, and
     reducible f with a double root) enumerate indices up to ``insep_bound``.
+    ``_facts``: the PolyFacts of f, if at hand, so that a caller can build
+    each form's matrix from the same branch.
     """
-    fact = quad_factor(f, ring)
+    facts = PolyFacts(ring, f) if _facts is None else _facts
+    fact = facts.fact
     if fact.reducible:
         lam1, lam2 = fact.lam1, fact.lam2
         if lam1 == lam2:
@@ -686,35 +722,34 @@ def class_list(ring, f: MonicPoly, insep_bound: int | None = None):
             return forms
         d = ring.val(lam1 - lam2)
         return [Reducible(f, lam1, lam2, pi_pow(ring, i)) for i in range(d + 1)]
-    name, _, vd = _branch(ring, f)
+    name, _, vd = facts.branch
     if name == "insep":
         _need_bound(insep_bound, "inseparable family needs an index bound")
-        b = f.b
-        chain = _insep_chain(ring, b, insep_bound)
-        return [Insep(f, i, u, (b - u * u) / pi_pow(ring, i)) for i, u in enumerate(chain)]
+        chain = _lift_chain(ring, ring.zero, f.b, insep_bound)
+        return [Insep(f, i, u, _insep_s(ring, f.b, u, i)) for i, u in enumerate(chain)]
     if name in _SEP_FORMS:
-        m, r = compute_m(ring, f, name)
+        m, r = facts.m
         return [_SEP_FORMS[name](f, r, i) for i in range(m + 1)]
     out = [_MAIN_FORMS[name](f, n) for n in range(vd // 2 + 1)]
     if name == "case22":
-        m, r = compute_m(ring, f, name)
+        m, r = facts.m
         out += [Case22Extra(f, r, i) for i in range(1, m + 1)]
     return out
 
 
 def class_number(ring, f: MonicPoly, insep_bound: int = 10):
     """Closed-form class count for irreducible f (LowerBound when inseparable)."""
-    fact = quad_factor(f, ring)
-    if fact.reducible:
+    facts = PolyFacts(ring, f)
+    if facts.fact.reducible:
         raise ReduciblePoly("class_number expects an irreducible quadratic")
-    name, _, vd = _branch(ring, f)
+    name, _, vd = facts.branch
     if name == "insep":
         _need_bound(insep_bound, "inseparable family needs an index bound")
-        return LowerBound(len(_insep_chain(ring, f.b, insep_bound)))
+        return LowerBound(len(_lift_chain(ring, ring.zero, f.b, insep_bound)))
     if name in _SEP_FORMS:
-        return compute_m(ring, f, name)[0] + 1
+        return facts.m[0] + 1
     if name == "case22":
-        return vd // 2 + compute_m(ring, f, name)[0] + 1
+        return vd // 2 + facts.m[0] + 1
     return vd // 2 + 1
 
 
@@ -724,11 +759,12 @@ def ideal_reps(ring, f: MonicPoly, insep_bound: int | None = None):
     Each pair means the ideal R*g1 + R*(c + theta) of R[x]/(f); the pairing
     with class_list is index for index.
     """
-    forms = class_list(ring, f, insep_bound)
-    if forms and isinstance(forms[0], Reducible):
+    facts = PolyFacts(ring, f)
+    forms = class_list(ring, f, insep_bound, facts)
+    if facts.fact.reducible:
         raise ReduciblePoly("ideal_reps expects an irreducible quadratic")
     out = []
     for form in forms:
-        C = canonical_matrix(form)
+        C = canonical_matrix(form, facts.branch)
         out.append(((C[0][1], ring.zero), (-C[0][0], ring.one)))
     return out

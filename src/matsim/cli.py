@@ -177,9 +177,10 @@ def cmd_class_list(args):
     ring = _ring(args)
     doc = _load_json(args.payload, "--in")
     f = _parse_poly(ring, doc)
+    facts = PolyFacts(ring, f)
     out = []
-    for fo in class_list(ring, f, args.insep_bound):
-        C = canonical_matrix(fo)
+    for fo in class_list(ring, f, args.insep_bound, facts):
+        C = canonical_matrix(fo, facts.branch)
         entry = {"form": fo.label(), "matrix": C.encode()}
         if not isinstance(fo, Reducible):
             # the ideal R*g1 + R*(c + theta) of classify.ideal_reps, read off C

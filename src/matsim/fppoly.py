@@ -500,6 +500,16 @@ class FpRat:
             return None
         return self.num.order() - self.den.order()
 
+    def sub_square_shifted(self, u, i):
+        """(self - u^2) / t^i for a polynomial u, when t^i divides the
+        numerator num - u^2*den.  That numerator is prime to den, since a
+        common factor would divide num, so the quotient is reduced as it
+        stands: no gcd."""
+        num = self.num - u.num * u.num * self.den
+        if not u.den.is_one() or num and num.order() < i:
+            raise ValueError(f"{self!r} - ({u!r})^2 over t^{i}: u must be a polynomial and t^{i} divide the numerator")
+        return _rat(_make(self.p, num._c[i * _lane(self.p) :]), self.den) if num else FpRat(num)
+
     def sqrt(self):
         """Exact square root in GF(p)(t), or None."""
         if self.is_zero():

@@ -240,6 +240,8 @@ class FpTLoc(LocalDVR):
             raise ValueError("N must be >= 0")
         if not self.is_integral(x):
             raise NotIntegral(f"{x!r} is not in {self!r}")
+        if x.den.is_one():
+            return x.num.truncate(N)
         # den(0) != 0 since x is integral
         return (x.num.truncate(N) * x.den.inverse_mod_t_power(N)).truncate(N)
 

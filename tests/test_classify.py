@@ -32,12 +32,13 @@ from matsim.classify import (
     witness,
 )
 from matsim.errors import InsepBoundRequired, InvalidParams, NotIntegral
+from matsim.fppoly import FpPoly
 from matsim.oracle import conj_search_mod
 from matsim.polys import MonicPoly, parse_monic, quad_factor
 from matsim.rings import ExtElem, FpTLoc, QuadExt, ZLoc
 
 import legacy_classify as old
-from conftest import SEED, all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
+from conftest import SEED, _rand_unit, all_instances, instance_ids, rand_gl2, rand_integral, rand_mat, run_optimized
 
 Z2 = ZLoc(2)
 Z3 = ZLoc(3)
@@ -397,6 +398,80 @@ def test_a_pair_works_out_its_polynomial_once(monkeypatch, rows, branches):
         calls.update(dict.fromkeys(calls, 0))
         assert run()
         assert calls == {"quad_factor": 1, "_branch": branches, "canonical_matrix": 1, "to_canonical": matrices}
+
+
+C_MOD = importlib.import_module("matsim.classify")  # matsim.classify is the function
+# the lifting branches on each ring of CHECK_RINGS; v(2) = 0 has none
+LIFT_BRANCHES = [{"case1", "case22"}, set(), {"char2sep", "insep"}, set(), {"case1", "case22"},
+                 {"case1", "case22"}, {"char2sep", "insep"}, {"case1", "case22"}]
+
+
+def _lift_input(ring, rng, depth):
+    """(a, b): a = 0 or pi^j * unit, b = r0(r0 + a) + pi^j' * c, so that
+    chains run past their first levels; in char 2 a = 0 is the insep lift."""
+    a = pi_pow(ring, rng.randint(0, depth)) * _rand_unit(ring, rng) if rng.random() < 0.7 else ring.zero
+    r0 = rand_integral(ring, rng)
+    return a, r0 * (r0 + a) + pi_pow(ring, rng.randint(0, 2 * depth + 1)) * rand_integral(ring, rng)
+
+
+def _exactly(monkeypatch, fn, *args):
+    """fn(*args) with every lift on the exact path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(C_MOD, "_lift_chain", C_MOD._exact_lift)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("ring, branches", zip(CHECK_RINGS, LIFT_BRANCHES), ids=RING_IDS + ["UnramDen"])
+def test_code_lift_matches_the_exact_path(monkeypatch, ring, branches):
+    # over ZLoc and FpTLoc the lift runs on residue codes mod pi^(2*top);
+    # the exact path on elements of R is its oracle (and an extension's path)
+    rng = random.Random(SEED)
+    enc = ring.encode
+    seen = set()
+    for _ in range(30):
+        a, b = _lift_input(ring, rng, 4)
+        for top in (0, 1, 3, 9):
+            chain, exact = C_MOD._lift_chain(ring, a, b, top), C_MOD._exact_lift(ring, a, b, top)
+            assert chain == exact and [enc(r) for r in chain] == [enc(r) for r in exact], (a, b, top)
+        assert C_MOD._lift_chain(ring, a, b, 0) == [ring.zero]
+        f = MonicPoly.quadratic(ring, a, b)
+        if quad_factor(f, ring).reducible:
+            continue
+        name = C_MOD._branch(ring, f)[0]
+        if name in ("case1", "case22", "char2sep"):
+            (m, r), (m_ex, r_ex) = compute_m(ring, f, name), _exactly(monkeypatch, compute_m, ring, f, name)
+            assert m == m_ex and r == r_ex and (r is None or enc(r) == enc(r_ex)), (f, name)
+        elif name == "insep":
+            forms = class_list(ring, f, 12)
+            assert forms == _exactly(monkeypatch, class_list, ring, f, 12)
+            assert all(fo.s == (b - fo.u * fo.u) / pi_pow(ring, fo.i) for fo in forms)
+        else:
+            continue
+        seen.add(name)
+    assert seen == branches
+
+
+def test_deep_lifts_match_the_exact_path(monkeypatch):
+    # Char2Sep with v(a) = m = 64 and Insep at bound 200 over FpTLoc(2), and
+    # an insep b with a denominator prime to t
+    F2_t = F2.uniformizer()
+    rng = random.Random(SEED)
+    poly = lambda n: F2.coerce(FpPoly(2, [rng.randrange(2) for _ in range(n)]))
+    a = pi_pow(F2, 64) * (F2.one + F2_t)
+    r0 = poly(130)
+    f = quad(F2, a, r0 * (r0 + a) + pi_pow(F2, 128) * poly(4))
+    assert C_MOD._branch(F2, f)[0] == "char2sep"
+    m, r = compute_m(F2, f, "char2sep")
+    assert (m, r) == _exactly(monkeypatch, compute_m, F2, f, "char2sep") and m == 64
+    u0 = poly(120)
+    f = quad(F2, 0, u0 * u0 + pi_pow(F2, 399) * (F2.one + F2_t))
+    forms = class_list(F2, f, 200)
+    assert len(forms) == 200 and forms == _exactly(monkeypatch, class_list, F2, f, 200)
+    assert class_number(F2, f, 200) == LowerBound(200)
+    f = quad(F2, 0, F2.parse("(1+t)/(1+t+t^2)"))
+    labels = [fo.label() for fo in class_list(F2, f, 5)]
+    assert labels == [fo.label() for fo in _exactly(monkeypatch, class_list, F2, f, 5)]
+    assert labels == ["Insep{i=0,u=0,s=(1+t)/(1+t+t^2)}", "Insep{i=1,u=1,s=t/(1+t+t^2)}"]
 
 
 class TestTriangularize:

@@ -511,6 +511,24 @@ def test_class_list_runs_the_residue_search_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_class_list_works_out_the_branch_once(capsys, monkeypatch):
+    # the branch of f, found once per job, builds every listed class's
+    # canonical matrix: x^2 - 1280 over ZLoc(2) has 6 classes, and finding
+    # the branch per class made 7 calls
+    classify = importlib.import_module("matsim.classify")
+    calls = []
+    branch = classify._branch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return branch(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "_branch", counted)
+    code, out, _ = run(capsys, "class-list", "--ring", Z2, "--in", json.dumps({"f": "x^2 - 1280"}))
+    assert code == 0 and json.loads(out)["count"] == 6
+    assert len(calls) == 1
+
+
 # fuzz: one field of a golden job's --in or --ring, mutated
 
 GOLDEN_JOBS = json.loads((Path(__file__).parent / "golden" / "jobs.json").read_text(encoding="utf-8"))

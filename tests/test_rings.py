@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matsim.classify import pi_pow
 from matsim.errors import NotIntegral
 from matsim.fppoly import FpPoly, FpRat
 from matsim.rings import INF, ExtElem, FpTLoc, QuadExt, ZLoc, _int_val, ring_from_json
@@ -238,6 +239,41 @@ def test_int_val_matches_the_division_loop(p, v, u, sign):
     # u may itself hold powers of p: the answer is then above v
     n = sign * p**v * u
     assert _int_val(n, p) == legacy_classify.int_val(n, p) >= v
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    num=st.lists(st.integers(0, 4), max_size=8),
+    den=st.one_of(st.just([]), st.lists(st.integers(0, 4), min_size=1, max_size=4)),
+    u=st.lists(st.integers(0, 4), max_size=6),
+    i=st.integers(0, 12),
+    N=st.integers(0, 12),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_fptloc_residue_and_the_shifted_insep_s(p, num, den, u, i, N):
+    # residue skips the Newton inverse when den = 1: it must give the same
+    # code as num * den^-1 mod t^N; a non-integral x still raises
+    ring = FpTLoc(p)
+    d = FpPoly(p, [1 + den[0] % (p - 1)] + den[1:]) if den else FpPoly(p, [1])  # d(0) != 0
+    x = FpRat(FpPoly(p, num), d)
+    newton = (x.num.truncate(N) * x.den.inverse_mod_t_power(N)).truncate(N)
+    assert ring.residue(x, N) == newton
+    pi = ring.uniformizer()
+    if x and ring.val(x / pi) < 0:
+        with pytest.raises(NotIntegral):
+            ring.residue(x / pi, N)
+    # the shifted s: b = u^2 + t^i * x, so (b - u^2)/t^i = x, without a gcd
+    uu = ring.coerce(FpPoly(p, u))
+    b = uu * uu + pi_pow(ring, i) * x
+    s = b.sub_square_shifted(uu, i)
+    assert s == (b - uu * uu) / pi_pow(ring, i) == x
+    assert (s.num, s.den) == (x.num, x.den)
+    if x.num.order() == 0:
+        with pytest.raises(ValueError):
+            b.sub_square_shifted(uu, i + 1)
+    if uu:
+        with pytest.raises(ValueError):
+            b.sub_square_shifted(uu / (uu * pi + 1), i)  # prime to u: not a polynomial
 
 
 def test_deterministic_residue_order():
